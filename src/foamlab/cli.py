@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Any
@@ -156,14 +157,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        payload = args.handler(args)
+        output = _render(args.handler(args), args.format, args.precision)
     except (DomainError, ConfigError) as exc:
         print(f"foamlab: error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:
         print(f"foamlab: internal consistency error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(_render(payload, args.format, args.precision))
+    sys.stdout.write(output)
     return 0
 
 
@@ -438,8 +439,19 @@ def _round_payload(payload: dict[str, Any], precision: int) -> dict[str, Any]:
 
 
 def _round_float(value: Any, precision: int) -> Any:
+    """Round to the display precision; a non-finite result is a domain error.
+
+    Checking the rounded value also catches a finite value that rounds
+    past the largest double at low precision.
+    """
     if isinstance(value, float):
-        return float(f"{value:.{precision}g}")
+        rounded = float(f"{value:.{precision}g}")
+        if not math.isfinite(rounded):
+            raise DomainError(
+                f"output value {value!r} is not finite at {precision} significant digits; "
+                "the input is outside the representable range"
+            )
+        return rounded
     return value
 
 

@@ -73,36 +73,35 @@ class TripletCovariance:
     """3x3 covariance of (t1, t2, t3) with equal diagonal entries.
 
     Units are time^2.  cov12/cov23 are the adjacent covariances, cov13
-    the outer one; the matrix view is symmetric by construction.
+    the outer one; the matrix view is symmetric by construction.  The
+    fields may also be broadcastable arrays, describing a stack of
+    matrices that is validated and evaluated elementwise in one pass.
     """
 
-    sigma2: float
-    cov12: float
-    cov23: float
-    cov13: float
+    sigma2: float | np.ndarray
+    cov12: float | np.ndarray
+    cov23: float | np.ndarray
+    cov13: float | np.ndarray
 
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.sigma2, self.cov12, self.cov13],
-                [self.cov12, self.sigma2, self.cov23],
-                [self.cov13, self.cov23, self.sigma2],
-            ]
-        )
-
-    def smallest_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix())[0])
+        """The matrix, or a stack of shape (..., 3, 3) for array fields."""
+        s, c12, c23, c13 = np.broadcast_arrays(self.sigma2, self.cov12, self.cov23, self.cov13)
+        rows = (s, c12, c13, c12, s, c23, c13, c23, s)
+        return np.stack(rows, axis=-1).reshape(s.shape + (3, 3))
 
     def validate(self) -> None:
-        entries = (self.sigma2, self.cov12, self.cov23, self.cov13)
-        if not all(math.isfinite(x) for x in entries):
+        matrix = self.matrix()
+        if not np.isfinite(matrix).all():
+            entries = (self.sigma2, self.cov12, self.cov23, self.cov13)
             raise DomainError(f"covariance entries must be finite, got {entries!r}")
-        if self.sigma2 <= 0:
+        if np.any(self.sigma2 <= 0):
             raise DomainError(f"sigma2 must be strictly positive, got {self.sigma2!r}")
-        smallest = self.smallest_eigenvalue()
-        if smallest < -PSD_RTOL * self.sigma2:
+        smallest = np.linalg.eigvalsh(matrix)[..., 0]
+        indefinite = smallest < -PSD_RTOL * self.sigma2
+        if np.any(indefinite):
             raise DomainError(
-                f"covariance is not positive semidefinite: smallest eigenvalue {smallest!r}"
+                "covariance is not positive semidefinite: smallest eigenvalue "
+                f"{float(np.min(smallest[indefinite]))!r}"
             )
 
 
@@ -129,7 +128,7 @@ def estimate_curvature(triplet: PulseTriplet, constants: ConstantSet | None = No
     return second_difference / (11.0 * cs.c * triplet.t2**2)
 
 
-def second_difference_variance(cov: TripletCovariance) -> float:
+def second_difference_variance(cov: TripletCovariance) -> float | np.ndarray:
     """Var(t1 - 2 t2 + t3) in time^2, computed two equivalent ways.
 
     Route one is the direct quadratic form with weights (1, -2, 1); route
@@ -140,7 +139,8 @@ def second_difference_variance(cov: TripletCovariance) -> float:
 
     The two are an algebraic identity for any joint distribution, so any
     disagreement (beyond 1e-12 relative to the matrix scale) raises
-    ConsistencyError.
+    ConsistencyError.  Scalar fields give a float; array fields give the
+    elementwise variances, and any one element that disagrees raises.
     """
     cov.validate()
     direct = (
@@ -158,8 +158,8 @@ def second_difference_variance(cov: TripletCovariance) -> float:
     )
     # Relative to the matrix scale as well, since the variance itself may
     # legitimately cancel to zero (perfectly correlated triplets).
-    scale = max(abs(direct), abs(six_term), cov.sigma2)
-    if abs(direct - six_term) > _ROUTE_RTOL * scale:
+    scale = np.maximum(np.maximum(abs(direct), abs(six_term)), cov.sigma2)
+    if np.any(abs(direct - six_term) > _ROUTE_RTOL * scale):
         raise ConsistencyError(
             f"second-difference variance routes disagree: direct {direct!r} vs six-term {six_term!r}"
         )

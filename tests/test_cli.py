@@ -73,6 +73,13 @@ class TestExitCodes:
         assert code == 1
         assert "guard" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_overflowing_result_is_domain_error(self, run_cli, fmt):
+        code, out, err = run_cli(["clock-mass", "--length", "1e308", "--format", fmt])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("foamlab: error:") and err.count("\n") == 1
+
     def test_missing_config_file_is_domain_error(self, run_cli):
         code, _, err = run_cli(["constants", "--config", "/nonexistent/path.conf"])
         assert code == 1

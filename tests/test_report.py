@@ -1,6 +1,13 @@
+import numpy as np
 import pytest
 
-from foamlab.report import build_claim_report
+from foamlab.report import (
+    _IDENTITY_BATCH_KEY,
+    _IDENTITY_BATCH_SIZE,
+    _max_identity_gap,
+    build_claim_report,
+)
+from foamlab.wigner import TripletCovariance, second_difference_variance
 
 EXPECTED_IDS = {
     "clock-mass-1cm": "reproduced",
@@ -85,3 +92,39 @@ def test_seed_changes_monte_carlo_rows(report):
         other_rows["second-difference-coefficient"].computed_value
         == rows["second-difference-coefficient"].computed_value
     )
+
+
+def reference_max_identity_gap(seed):
+    """The identity row as a per-matrix loop; the batched row must match it bit for bit."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_IDENTITY_BATCH_KEY,)))
+    pair_12 = np.array([1.0, 1.0, 0.0])
+    pair_23 = np.array([0.0, 1.0, 1.0])
+    total = np.array([1.0, 1.0, 1.0])
+    worst = 0.0
+    for _ in range(_IDENTITY_BATCH_SIZE):
+        raw = rng.standard_normal((3, 3))
+        gram = raw @ raw.T
+        scale = np.sqrt(np.diag(gram))
+        corr = gram / np.outer(scale, scale)
+        cov = TripletCovariance(
+            sigma2=1.0,
+            cov12=float(corr[0, 1]),
+            cov23=float(corr[1, 2]),
+            cov13=float(corr[0, 2]),
+        )
+        direct = second_difference_variance(cov)
+        matrix = cov.matrix()
+        six_term = float(
+            3.0 * matrix[0, 0] + 9.0 * matrix[1, 1] + 3.0 * matrix[2, 2]
+            - 3.0 * pair_12 @ matrix @ pair_12
+            - 3.0 * pair_23 @ matrix @ pair_23
+            + total @ matrix @ total
+        )
+        gap = abs(direct - six_term) / max(abs(direct), abs(six_term), cov.sigma2)
+        worst = max(worst, gap)
+    return worst
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_identity_batch_matches_per_matrix_loop(seed):
+    assert _max_identity_gap(seed) == reference_max_identity_gap(seed)
