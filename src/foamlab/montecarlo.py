@@ -18,34 +18,40 @@ Numerical note: at laboratory scales the fluctuations sit ~22 orders of
 magnitude below the mean flight time, so mean + delta would round to the
 mean exactly in double precision.  Samples are therefore generated and
 analysed in fluctuation space (zero-mean deltas); the second difference
-annihilates the common mean anyway, and TripletSample keeps the mean
-alongside the deltas.
+annihilates the common mean anyway.
 
-Determinism: partition i draws from NumPy PCG64 seeded with
-SeedSequence(seed, spawn_key=(i,)), and per-partition moment sums are
-combined in partition-index order.  Results are bit-stable for a fixed
-(seed, n_partitions) and statistically compatible across partition
-counts.
+Streaming: the n samples are split into fixed blocks of BLOCK_ROWS rows.
+Block b draws standard normals z from NumPy PCG64 seeded with
+SeedSequence(seed, spawn_key=(b,)), in chunks of CHUNK_ROWS rows from that
+one generator, which yields the same stream as one whole-block draw.  Each
+chunk goes straight to its second differences z @ (F^T w), with F F^T the
+covariance and w = (1, -2, 1), and is reduced to (count, mean, M2).  Chunks
+merge in order within a block, and blocks merge in block order, by the
+pairwise update of Chan, Golub & LeVeque (1979).  Memory is O(chunk), not
+O(n).
+
+Determinism: results depend on (seed, n_samples) only.  n_partitions caps
+the worker threads that compute blocks, at min(n_partitions, os.cpu_count(),
+number of blocks), with no pool at all for one worker.  It never changes
+what is drawn or the merge order, so results are bit-identical across
+partition counts.  Block keys stay below the report's batch key 1_000_003
+(report._max_identity_gap) for n_samples below about 1e12.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .constants import ConstantSet, Curvature, Length, TimeInterval, default_constants
+from .constants import ConstantSet, Curvature, Length, default_constants
 from .errors import DomainError
 from .laws import UncertaintyLaw
-from .wigner import (
-    PSD_RTOL,
-    TripletCovariance,
-    PulseTriplet,
-    curvature_uncertainty,
-    second_difference_variance,
-)
+from .wigner import TripletCovariance, curvature_uncertainty, second_difference_variance
 
 # Correlations forced by the interval variances above:
 # adjacent: Var(t_i + t_j) = 2 sigma^2 (1 + rho) = 2^(2/3) sigma^2
@@ -53,10 +59,20 @@ from .wigner import (
 ADJACENT_CORRELATION = 2.0 ** (-1.0 / 3.0) - 1.0
 OUTER_CORRELATION = (3.0 ** (2.0 / 3.0) - 3.0) / 2.0 - (2.0 ** (2.0 / 3.0) - 2.0)
 
+BLOCK_ROWS = 1_000_000
+CHUNK_ROWS = 1 << 16
+SECOND_DIFFERENCE = np.array([1.0, -2.0, 1.0])
+
+# (count, mean, M2): M2 is the sum of squared deviations from the mean.
+Moments = tuple[int, float, float]
+
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling parameters for one verification run."""
+    """Sampling parameters for one verification run.
+
+    n_partitions caps the worker threads; results do not depend on it.
+    """
 
     l: Length
     n_samples: int
@@ -92,28 +108,6 @@ class McResult:
     sigma2: float
 
 
-@dataclass(frozen=True)
-class TripletSample:
-    """Gaussian triplet draws stored as a common mean plus fluctuations.
-
-    deltas has shape (n, 3).  triplets() materializes mean + delta; at
-    physical scales that addition underflows the fluctuation entirely,
-    so statistics must be computed on the deltas.
-    """
-
-    mean: TimeInterval
-    deltas: np.ndarray
-
-    def second_differences(self) -> np.ndarray:
-        return self.deltas[:, 0] - 2.0 * self.deltas[:, 1] + self.deltas[:, 2]
-
-    def triplets(self) -> Iterator[PulseTriplet]:
-        for row in self.deltas:
-            yield PulseTriplet(
-                self.mean + float(row[0]), self.mean + float(row[1]), self.mean + float(row[2])
-            )
-
-
 def ngvandam_covariance(l: Length, constants: ConstantSet | None = None) -> TripletCovariance:
     """Covariance of (t1, t2, t3) implied by the cube-root law at length l."""
     cs = constants or default_constants()
@@ -133,25 +127,6 @@ def eigenvalues(cov: TripletCovariance) -> tuple[float, float, float]:
     return (float(values[2]), float(values[1]), float(values[0]))
 
 
-def sample_triplets(
-    cov: TripletCovariance, mean: TimeInterval, config: McConfig
-) -> TripletSample:
-    """Draw config.n_samples Gaussian triplets around the given mean.
-
-    Deterministic for fixed (seed, n_partitions): partition substreams
-    are concatenated in index order.
-    """
-    config.validate()
-    if not (math.isfinite(mean) and mean > 0):
-        raise DomainError(f"mean must be a strictly positive finite time, got {mean!r}")
-    factor = _psd_factor(cov)
-    parts = [
-        _partition_rng(config.seed, index).standard_normal((size, 3)) @ factor.T
-        for index, size in enumerate(_partition_sizes(config.n_samples, config.n_partitions))
-    ]
-    return TripletSample(mean=mean, deltas=np.concatenate(parts, axis=0))
-
-
 def verify_curvature_uncertainty(
     config: McConfig,
     constants: ConstantSet | None = None,
@@ -159,68 +134,108 @@ def verify_curvature_uncertainty(
 ) -> McResult:
     """Empirically reproduce the closed-form curvature noise at config.l.
 
-    Samples the cube-root covariance (or cov_override, a test hook),
-    accumulates per-partition moment sums of the second difference, and
-    compares the sample variance against the closed form.  The empirical
-    delta_C uses the linearized estimator sqrt(Var) * c / (11 l^2).
+    Streams Gaussian triplets of the cube-root covariance (or cov_override,
+    a test hook) through the second difference, block by block as the
+    module docstring describes, and compares the sample variance against
+    the closed form.  The empirical delta_C uses the linearized estimator
+    sqrt(Var) * c / (11 l^2).  A delta_C that is not a normal double at
+    config.l raises DomainError.
     """
     config.validate()
     cs = constants or default_constants()
     cov = cov_override if cov_override is not None else ngvandam_covariance(config.l, cs)
     if config.n_samples < 2:
         raise DomainError("n_samples must be at least 2 to estimate a variance")
-    factor = _psd_factor(cov)
-
-    count = 0
-    linear_sum = 0.0
-    square_sum = 0.0
-    for index, size in enumerate(_partition_sizes(config.n_samples, config.n_partitions)):
-        deltas = _partition_rng(config.seed, index).standard_normal((size, 3)) @ factor.T
-        diffs = deltas[:, 0] - 2.0 * deltas[:, 1] + deltas[:, 2]
-        count += size
-        linear_sum += float(diffs.sum())
-        square_sum += float(diffs @ diffs)
-
-    empirical_variance = (square_sum - linear_sum * linear_sum / count) / (count - 1)
+    closed_form_delta_c = _representable(
+        "closed-form delta_C", curvature_uncertainty(config.l, cs), config.l
+    )
     closed_form_variance = second_difference_variance(cov)
+    block = functools.partial(_block_moments, config.seed, _psd_factor(cov).T @ SECOND_DIFFERENCE)
+    n = config.n_samples
+    sizes = [min(BLOCK_ROWS, n - start) for start in range(0, n, BLOCK_ROWS)]
+    workers = min(config.n_partitions, os.cpu_count() or 1, len(sizes))
+    if workers == 1:
+        moments = list(map(block, range(len(sizes)), sizes))
+    else:
+        # Imported here, not at module level: it adds ~8 ms to every CLI start.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            moments = list(pool.map(block, range(len(sizes)), sizes))
+    count, _, m2 = functools.reduce(_combine, moments)
+
+    empirical_variance = m2 / (count - 1)
     relative_error = abs(empirical_variance - closed_form_variance) / closed_form_variance
-    empirical_delta_c = math.sqrt(empirical_variance) * cs.c / (11.0 * config.l**2)
+    # Dividing by l twice: l**2 alone overflows above ~1e154 cm and goes
+    # subnormal (losing digits) below ~1e-154 cm, where delta_C still fits.
+    empirical_delta_c = _representable(
+        "empirical delta_C",
+        math.sqrt(empirical_variance) * cs.c / (11.0 * config.l) / config.l,
+        config.l,
+    )
     return McResult(
         empirical_variance=empirical_variance,
         closed_form_variance=closed_form_variance,
         relative_error=relative_error,
         empirical_delta_c=empirical_delta_c,
-        closed_form_delta_c=curvature_uncertainty(config.l, cs),
+        closed_form_delta_c=closed_form_delta_c,
         sigma2=cov.sigma2,
     )
 
 
-def _partition_sizes(n_samples: int, n_partitions: int) -> list[int]:
-    base, remainder = divmod(n_samples, n_partitions)
-    return [base + 1 if i < remainder else base for i in range(n_partitions)]
+def _block_moments(seed: int, projection: np.ndarray, index: int, rows: int) -> Moments:
+    """Moments of the second differences of block `index`, drawn chunk by chunk.
+
+    Runs on worker threads, so it calls only private helpers and NumPy
+    (perfbench/spans.py wraps public names with a span stack that is not
+    thread-safe).  NumPy releases the GIL in the normal fill and the
+    matrix product, so blocks overlap on separate cores.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    chunks = (
+        _chunk_moments(rng.standard_normal((min(CHUNK_ROWS, rows - start), 3)) @ projection)
+        for start in range(0, rows, CHUNK_ROWS)
+    )
+    return functools.reduce(_combine, chunks)
 
 
-def _partition_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+def _chunk_moments(diffs: np.ndarray) -> Moments:
+    mean = float(diffs.mean())
+    deviations = diffs - mean
+    # einsum, not a BLAS dot: OpenBLAS's threaded ddot made two worker
+    # threads run one after the other (no speed-up at two workers).
+    return len(diffs), mean, float(np.einsum("i,i->", deviations, deviations))
+
+
+def _combine(a: Moments, b: Moments) -> Moments:
+    """Merge two (count, mean, M2) summaries (Chan, Golub & LeVeque 1979)."""
+    count_a, mean_a, m2_a = a
+    count_b, mean_b, m2_b = b
+    count = count_a + count_b
+    delta = mean_b - mean_a
+    return (
+        count,
+        mean_a + delta * count_b / count,
+        m2_a + m2_b + delta * delta * count_a * count_b / count,
+    )
+
+
+def _representable(name: str, value: float, l: Length) -> float:
+    """value, if it is a normal double; DomainError otherwise."""
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise DomainError(f"{name} at l = {l!r} cm is not a representable double (got {value!r})")
+    return value
 
 
 def _psd_factor(cov: TripletCovariance) -> np.ndarray:
-    """Factor F with F F^T = cov, rejecting genuinely indefinite input.
+    """Factor F with F F^T = cov, after cov.validate() rejects indefinite input.
 
     Cholesky when strictly positive definite; on the PSD boundary (for
-    example the all-ones correlation, or an all-zero test matrix) an
-    eigenvalue factor with negatives clipped at zero.
+    example the all-ones correlation) an eigenvalue factor with negatives
+    clipped at zero.
     """
+    cov.validate()
     matrix = cov.matrix()
-    if not np.all(np.isfinite(matrix)):
-        raise DomainError(f"covariance entries must be finite, got {matrix.tolist()!r}")
-    smallest = float(np.linalg.eigvalsh(matrix)[0])
-    if smallest < -PSD_RTOL * max(cov.sigma2, 1e-300):
-        raise DomainError(
-            f"covariance is not positive semidefinite: smallest eigenvalue {smallest!r}"
-        )
-    if not matrix.any():
-        return np.zeros((3, 3))
     try:
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:

@@ -92,37 +92,36 @@ def test_c03_closed_form_coefficient():
 
 
 def test_c04_variance_identity_suite():
+    # the same 10k matrices as 10,000 successive (3, 3) draws, in one call
     rng = np.random.default_rng(20260808)
     weights = np.array([1.0, -2.0, 1.0])
     pair_12 = np.array([1.0, 1.0, 0.0])
     pair_23 = np.array([0.0, 1.0, 1.0])
     total = np.array([1.0, 1.0, 1.0])
-    worst = 0.0
     start = time.perf_counter()
-    for _ in range(10_000):
-        raw = rng.standard_normal((3, 3))
-        gram = raw @ raw.T
-        scale = np.sqrt(np.diag(gram))
-        corr = gram / np.outer(scale, scale)
-        cov = TripletCovariance(
-            sigma2=1.0,
-            cov12=float(corr[0, 1]),
-            cov23=float(corr[1, 2]),
-            cov13=float(corr[0, 2]),
-        )
-        # library route (internally cross-checked) vs matrix quadratic forms
-        direct = second_difference_variance(cov)
-        matrix = cov.matrix()
-        six_term = float(
-            3.0 * matrix[0, 0] + 9.0 * matrix[1, 1] + 3.0 * matrix[2, 2]
-            - 3.0 * pair_12 @ matrix @ pair_12
-            - 3.0 * pair_23 @ matrix @ pair_23
-            + total @ matrix @ total
-        )
-        oracle = float(weights @ matrix @ weights)
-        scale_ref = max(abs(direct), abs(six_term), 1.0)
-        worst = max(worst, abs(direct - six_term) / scale_ref, abs(direct - oracle) / scale_ref)
+    raw = rng.standard_normal((10_000, 3, 3))
+    gram = raw @ raw.transpose(0, 2, 1)
+    scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    corr = gram / (scale[:, :, None] * scale[:, None, :])
+    cov = TripletCovariance(
+        sigma2=1.0, cov12=corr[:, 0, 1], cov23=corr[:, 1, 2], cov13=corr[:, 0, 2]
+    )
+    # library route (internally cross-checked) vs matrix quadratic forms
+    direct = second_difference_variance(cov)
+    matrix = cov.matrix()
+    six_term = (
+        3.0 * matrix[:, 0, 0] + 9.0 * matrix[:, 1, 1] + 3.0 * matrix[:, 2, 2]
+        - 3.0 * (pair_12 @ matrix @ pair_12)
+        - 3.0 * (pair_23 @ matrix @ pair_23)
+        + total @ matrix @ total
+    )
+    oracle = weights @ matrix @ weights
+    scale_ref = np.maximum(np.maximum(abs(direct), abs(six_term)), 1.0)
+    worst = float(
+        max(np.max(abs(direct - six_term) / scale_ref), np.max(abs(direct - oracle) / scale_ref))
+    )
     elapsed = time.perf_counter() - start
+    assert direct.shape == (10_000,)
     assert worst <= 1e-12
     assert elapsed < 5.0
     print(f"[PASS] c04 identity gap {worst:.3e} over 1e4 matrices in {elapsed:.2f} s")
@@ -238,10 +237,9 @@ def test_c12_determinism(run_cli):
     split = verify_curvature_uncertainty(
         McConfig(l=1.0, n_samples=1_000_000, seed=42, n_partitions=8)
     )
-    rel = abs(split.empirical_variance - single.empirical_variance) / single.empirical_variance
-    assert rel < 0.01
+    assert split == single
     split_again = verify_curvature_uncertainty(
         McConfig(l=1.0, n_samples=1_000_000, seed=42, n_partitions=8)
     )
     assert split_again == split
-    print(f"[PASS] c12 report byte-identical; partitions 1 vs 8 differ by {rel:.2e}")
+    print("[PASS] c12 report byte-identical; partitions 1 and 8 give equal results")

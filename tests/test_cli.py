@@ -80,6 +80,13 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("foamlab: error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("length", ["1e-300", "1e-200", "1e300"])
+    def test_unrepresentable_mc_length_is_domain_error(self, run_cli, length):
+        code, out, err = run_cli(["mc", "--length", length, "--samples", "1000", "--seed", "1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("foamlab: error:") and err.count("\n") == 1
+
     def test_missing_config_file_is_domain_error(self, run_cli):
         code, _, err = run_cli(["constants", "--config", "/nonexistent/path.conf"])
         assert code == 1

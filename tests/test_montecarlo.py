@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from foamlab.montecarlo import (
     OUTER_CORRELATION,
     McConfig,
     eigenvalues,
+    _psd_factor,
     ngvandam_covariance,
-    sample_triplets,
     verify_curvature_uncertainty,
 )
 from foamlab.wigner import VARIANCE_RATIO, TripletCovariance, curvature_uncertainty
@@ -95,31 +97,22 @@ class TestEigenvalues:
 
 
 class TestSampling:
-    def test_zero_covariance_gives_exact_means(self):
-        zero = TripletCovariance(sigma2=0.0, cov12=0.0, cov23=0.0, cov13=0.0)
-        sample = sample_triplets(zero, 2.0, McConfig(l=1.0, n_samples=10, seed=1))
-        assert not sample.deltas.any()
-        for triplet in sample.triplets():
-            assert (triplet.t1, triplet.t2, triplet.t3) == (2.0, 2.0, 2.0)
-
-    def test_same_seed_bit_identical(self):
-        cov = ngvandam_covariance(1.0)
-        config = McConfig(l=1.0, n_samples=1000, seed=99, n_partitions=4)
-        first = sample_triplets(cov, 1.0 / default_constants().c, config)
-        second = sample_triplets(cov, 1.0 / default_constants().c, config)
-        assert np.array_equal(first.deltas, second.deltas)
-
-    def test_sample_covariance_close_to_target(self):
-        cov = ngvandam_covariance(1.0)
-        config = McConfig(l=1.0, n_samples=1_000_000, seed=123)
-        sample = sample_triplets(cov, 1.0 / default_constants().c, config)
-        empirical = np.cov(sample.deltas.T)
-        assert np.max(np.abs((empirical - cov.matrix()) / cov.matrix())) < 0.01
+    @pytest.mark.parametrize(
+        "cov",
+        [ngvandam_covariance(1.0), TripletCovariance(sigma2=1.0, cov12=1.0, cov23=1.0, cov13=1.0)],
+        ids=["cube-root", "all-ones"],
+    )
+    def test_factor_reproduces_covariance(self, cov):
+        factor = _psd_factor(cov)
+        matrix = cov.matrix()
+        assert np.max(np.abs(factor @ factor.T - matrix)) <= 1e-12 * np.max(np.abs(matrix))
 
     def test_rejects_indefinite_covariance(self):
         bad = TripletCovariance(sigma2=1.0, cov12=-0.8, cov23=-0.8, cov13=-0.8)
         with pytest.raises(DomainError, match="eigenvalue"):
-            sample_triplets(bad, 1.0, McConfig(l=1.0, n_samples=10, seed=0))
+            verify_curvature_uncertainty(
+                McConfig(l=1.0, n_samples=10, seed=0), cov_override=bad
+            )
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -164,8 +157,43 @@ class TestVerification:
         split = verify_curvature_uncertainty(
             McConfig(l=1.0, n_samples=1_000_000, seed=42, n_partitions=8)
         )
-        rel = abs(split.empirical_variance - single.empirical_variance) / single.empirical_variance
-        assert rel < 0.01
+        assert split == single
+
+    def test_partition_invariant_across_blocks(self):
+        # 2.5e6 samples span three blocks; with two or more cores, two and
+        # eight partitions run them on worker threads, one on this thread.
+        results = [
+            verify_curvature_uncertainty(
+                McConfig(l=1.0, n_samples=2_500_000, seed=5, n_partitions=partitions)
+            )
+            for partitions in (1, 2, 8)
+        ]
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("cpus, requested", [(1, []), (2, [2]), (64, [3])])
+    def test_workers_capped_by_cpus_and_blocks(self, monkeypatch, cpus, requested):
+        asked = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        # three blocks, and far more partitions than blocks or cores
+        verify_curvature_uncertainty(
+            McConfig(l=1.0, n_samples=2_000_001, seed=3, n_partitions=10**9)
+        )
+        assert asked == requested
 
     def test_convergence_scales_as_inverse_sqrt(self):
         # rms relative error over 10 seeds should drop ~10x from 1e4 to 1e6 samples
