@@ -267,6 +267,17 @@ class TestGoldenFiles:
             ),
             ("report_default.json", ["report", "--format", "json"]),
             ("fluct_1e-5cm.csv", ["fluct", "--length", "1e-5cm", "--format", "csv"]),
+            ("uncertainty_l1.json", ["uncertainty", "--length", "1cm", "--format", "json"]),
+            ("uncertainty_t1.json", ["uncertainty", "--time", "1s", "--format", "json"]),
+            ("clock_mass_l1.json", ["clock-mass", "--length", "1cm", "--format", "json"]),
+            (
+                "mc_l1_n20000_s7.txt",
+                ["mc", "--length", "1cm", "--samples", "20000", "--seed", "7"],
+            ),
+            (
+                "bounce_k4e-6_l1_p3.txt",
+                ["bounce", "--curvature", "4e-61/cm2", "--separation", "1cm", "--pulses", "3"],
+            ),
         ],
     )
     def test_matches_golden(self, run_cli, golden_name, args):
