@@ -29,9 +29,16 @@ unique and the mirror away from the clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .constants import ConstantSet, Curvature2, Length, TimeInterval, default_constants
+from .constants import (
+    DEFAULT_CONSTANTS,
+    ConstantSet,
+    Curvature2,
+    Length,
+    TimeInterval,
+    require_positive_finite,
+)
 from .errors import ConsistencyError, DomainError
 from .wigner import PulseTriplet, estimate_curvature
 
@@ -50,18 +57,22 @@ LINEARITY_MAX_RESIDUAL = 1e-3
 
 @dataclass(frozen=True)
 class BounceModel:
-    """Constant sectional curvature K (1/cm^2) and clock-mirror setup."""
+    """Constant sectional curvature K (1/cm^2) and clock-mirror setup.
+
+    constants defaults to DEFAULT_CONSTANTS.
+    """
 
     k: Curvature2
     l: Length
-    constants: ConstantSet = field(default_factory=default_constants)
+    constants: ConstantSet = DEFAULT_CONSTANTS
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.l, (int, float)) and math.isfinite(self.l) and self.l > 0):
-            raise DomainError(f"l must be a strictly positive finite length, got {self.l!r}")
+        require_positive_finite("l", self.l)
         if not (isinstance(self.k, (int, float)) and math.isfinite(self.k)):
             raise DomainError(f"K must be a finite curvature, got {self.k!r}")
-        strength = abs(self.k) * (self.l / 2.0) ** 2
+        # Left to right, never (l/2)**2: K = 0 gives 0 and a huge l gives
+        # inf, where the power would raise OverflowError above ~1e154 cm.
+        strength = abs(self.k) * (self.l / 2.0) * (self.l / 2.0)
         if strength >= CURVATURE_GUARD:
             raise DomainError(
                 f"|K| (l/2)^2 = {strength:.3e} violates the weak-curvature guard {CURVATURE_GUARD}"
@@ -178,7 +189,7 @@ def solve_outbound(model: BounceModel, t_emit: TimeInterval) -> TimeInterval:
 def estimator_response(
     k_grid: list[float] | tuple[float, ...],
     l: Length,
-    constants: ConstantSet | None = None,
+    constants: ConstantSet = DEFAULT_CONSTANTS,
     n_pulses: int = 3,
 ) -> ResponseReport:
     """Fit estimate = slope * K through the origin over a curvature grid.
@@ -187,9 +198,9 @@ def estimator_response(
     all-zero grid short-circuits to a zero report).  Reports the fitted
     slope and the maximum relative residual over nonzero points; inside
     the LINEARITY_ASSERT_GUARD regime a residual at or above
-    LINEARITY_MAX_RESIDUAL raises ConsistencyError.
+    LINEARITY_MAX_RESIDUAL raises ConsistencyError.  constants defaults to
+    DEFAULT_CONSTANTS.
     """
-    cs = constants or default_constants()
     ks = [float(k) for k in k_grid]
     if len(ks) < 5:
         raise DomainError(f"need at least 5 grid points, got {len(ks)}")
@@ -206,7 +217,9 @@ def estimator_response(
             f"grid must span at least a decade in |K|; got {min(nonzero):.3e}..{max(nonzero):.3e}"
         )
     estimates = [
-        simulate_round_trips(BounceModel(k=k, l=l, constants=cs), n_pulses).estimated_curvature
+        simulate_round_trips(
+            BounceModel(k=k, l=l, constants=constants), n_pulses
+        ).estimated_curvature
         for k in ks
     ]
     slope = sum(c * k for c, k in zip(estimates, ks)) / sum(k * k for k in ks)

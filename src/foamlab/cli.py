@@ -18,10 +18,10 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
-from .constants import default_constants, load_constants, validate_constants
+from .constants import DEFAULT_CONSTANTS, load_constants, validate_constants
 from .errors import ConfigError, ConsistencyError, DomainError
 from .laws import UncertaintyLaw
 from .montecarlo import McConfig, verify_curvature_uncertainty
@@ -29,18 +29,31 @@ from .report import build_claim_report
 from .wigner import fluctuation_profile, linearization_ok
 from . import bounce
 
-_UNITS = {
-    "length": ("cm",),
-    "time": ("s",),
-    "density": ("g/cm3",),
-    "curvature": ("1/cm2",),
+# Quantity kind: (metavar letter, unit suffix).
+_QUANTITIES = {
+    "length": ("L", "cm"),
+    "time": ("T", "s"),
+    "density": ("RHO", "g/cm3"),
+    "curvature": ("K", "1/cm2"),
 }
 
-_EPILOG = (
-    "quantities are CGS and accept an optional unit suffix glued to the number:\n"
-    "  lengths NUMBER[cm], times NUMBER[s], densities NUMBER[g/cm3],\n"
-    "  curvatures NUMBER[1/cm2]   e.g. --length 1e-5cm, --density 1e-29g/cm3"
-)
+# Help layout shared by the top-level parser and every subcommand.
+_HELP_LAYOUT = {
+    "epilog": (
+        "quantities are CGS and accept an optional unit suffix glued to the number:\n"
+        "  lengths NUMBER[cm], times NUMBER[s], densities NUMBER[g/cm3],\n"
+        "  curvatures NUMBER[1/cm2]   e.g. --length 1e-5cm, --density 1e-29g/cm3"
+    ),
+    "formatter_class": argparse.RawDescriptionHelpFormatter,
+}
+
+# The laws are pure and the default constants frozen, so one instance serves every call.
+_LAW = UncertaintyLaw()
+
+_CONSTANT_UNITS = {
+    "c": "cm/s", "hbar": "erg s", "G": "cm3/(g s2)", "l_planck": "cm", "t_planck": "s",
+    "m_planck": "g",
+}
 
 
 def _precision(text: str) -> int:
@@ -53,43 +66,60 @@ def _precision(text: str) -> int:
     return value
 
 
-def _quantity_parser(kind: str):
-    suffixes = _UNITS[kind]
+class _Quantity:
+    """argparse type for NUMBER[unit], the unit suffix being optional."""
 
-    def parse(text: str) -> float:
-        stripped = text.strip()
-        number = stripped
-        for suffix in sorted(suffixes, key=len, reverse=True):
-            if stripped.endswith(suffix):
-                number = stripped[: -len(suffix)].strip()
-                break
-        try:
-            return float(number)
+    def __init__(self, kind: str) -> None:
+        letter, self.unit = _QUANTITIES[kind]
+        self.metavar = f"{letter}[{self.unit}]"
+
+    def __call__(self, text: str) -> float:
+        try:  # float() ignores the blanks around the number
+            return float(text.strip().removesuffix(self.unit))
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected NUMBER[{suffixes[0]}], got {text!r}"
-            ) from None
+            message = f"expected NUMBER[{self.unit}], got {text!r}"
+            raise argparse.ArgumentTypeError(message) from None
 
-    return parse
+
+def _quantity(kind: str, required: bool = True) -> dict[str, Any]:
+    """add_argument keywords for a quantity option; its unit joins the params."""
+    parse = _Quantity(kind)
+    return {"type": parse, "metavar": parse.metavar, "required": required}
+
+
+def _integer(metavar: str, default: int | None = None) -> dict[str, Any]:
+    """add_argument keywords for an integer option, required without a default."""
+    return {"type": int, "metavar": metavar, "default": default, "required": default is None}
+
+
+_Handler = Callable[[argparse.Namespace], "dict[str, Any]"]
+
+# name: (help, {option: add_argument keywords}, handler), in definition order.
+_COMMANDS: dict[str, tuple[str, dict[str, dict[str, Any]], _Handler]] = {}
+
+
+def _command(
+    name: str, help_text: str, **options: dict[str, Any]
+) -> Callable[[_Handler], _Handler]:
+    """Enter the decorated handler in _COMMANDS as subcommand `name`."""
+
+    def enter(handler: _Handler) -> _Handler:
+        _COMMANDS[name] = (help_text, options, handler)
+        return handler
+
+    return enter
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foamlab",
         description="cube-root space-time measurement uncertainty toolkit (CGS units)",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        **_HELP_LAYOUT,
     )
     parser.add_argument("--version", action="version", version=f"foamlab {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, help_text: str):
-        sub = commands.add_parser(
-            name,
-            help=help_text,
-            epilog=_EPILOG,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
+    for name, (help_text, options, handler) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text, **_HELP_LAYOUT)
         sub.add_argument(
             "--format", choices=("table", "csv", "json"), default="table",
             help="output rendering (default: table)",
@@ -98,55 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--precision", type=_precision, default=6, metavar="N",
             help="significant digits for printed numbers (default: 6)",
         )
-        return sub
-
-    sub = add_command("constants", "print the active constant set")
-    sub.add_argument("--config", metavar="FILE", help="key = value document with c, hbar, G")
-    sub.set_defaults(handler=_cmd_constants)
-
-    sub = add_command("uncertainty", "cube-root length/time uncertainty")
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--length", type=_quantity_parser("length"), metavar="L[cm]")
-    group.add_argument("--time", type=_quantity_parser("time"), metavar="T[s]")
-    sub.set_defaults(handler=_cmd_uncertainty)
-
-    sub = add_command("clock-mass", "optimal clock mass for a length measurement")
-    sub.add_argument("--length", type=_quantity_parser("length"), metavar="L[cm]", required=True)
-    sub.set_defaults(handler=_cmd_clock_mass)
-
-    sub = add_command("fluct", "curvature / Riemann-scalar / density fluctuations")
-    sub.add_argument("--length", type=_quantity_parser("length"), metavar="L[cm]", required=True)
-    sub.set_defaults(handler=_cmd_fluct)
-
-    sub = add_command("threshold", "largest length keeping density fluctuations below a bound")
-    sub.add_argument(
-        "--density", type=_quantity_parser("density"), metavar="RHO[g/cm3]", required=True
-    )
-    sub.set_defaults(handler=_cmd_threshold)
-
-    sub = add_command("mc", "Monte Carlo verification of the curvature noise law")
-    sub.add_argument("--length", type=_quantity_parser("length"), metavar="L[cm]", required=True)
-    sub.add_argument("--samples", type=int, required=True, metavar="N")
-    sub.add_argument("--seed", type=int, required=True, metavar="S")
-    sub.add_argument("--partitions", type=int, default=1, metavar="P")
-    sub.set_defaults(handler=_cmd_mc)
-
-    sub = add_command("bounce", "toy clock-mirror bounce simulation")
-    sub.add_argument(
-        "--curvature", type=_quantity_parser("curvature"), metavar="K[1/cm2]", required=True
-    )
-    sub.add_argument(
-        "--separation", type=_quantity_parser("length"), metavar="L[cm]", required=True
-    )
-    sub.add_argument("--pulses", type=int, default=3, metavar="N")
-    sub.set_defaults(handler=_cmd_bounce)
-
-    sub = add_command("report", "full claims-reproduction report")
-    sub.add_argument("--seed", type=int, default=42, metavar="S")
-    sub.add_argument("--samples", type=int, default=1_000_000, metavar="N")
-    sub.add_argument("--partitions", type=int, default=1, metavar="P")
-    sub.set_defaults(handler=_cmd_report)
-
+        # uncertainty takes exactly one of --length and --time.
+        group = sub.add_mutually_exclusive_group(required=True) if name == "uncertainty" else sub
+        for option, keywords in options.items():
+            group.add_argument(f"--{option}", **keywords)
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -173,10 +159,47 @@ def run() -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns a payload dict with a "rows" table
+# subcommand handlers: each takes the parsed arguments and returns a payload
+# dict with a "rows" table
 
 
+def _payload(
+    args: argparse.Namespace, rows: list[tuple], warnings: list[str], params: dict | None = None
+) -> dict[str, Any]:
+    """The payload of (quantity, value, unit, status) rows.
+
+    params default to the command's options in table order, each quantity
+    option followed by its unit as `<option>_unit`.
+    """
+    if params is None:
+        params = {}
+        for option, keywords in _COMMANDS[args.command][1].items():
+            params[option] = getattr(args, option)
+            if isinstance(keywords.get("type"), _Quantity):
+                params[f"{option}_unit"] = keywords["type"].unit
+    return {
+        "command": args.command,
+        "params": params,
+        "rows": [
+            {"quantity": quantity, "value": value, "unit": unit, "status": status}
+            for quantity, value, unit, status in rows
+        ],
+        "warnings": warnings,
+    }
+
+
+def _sub_planck(kind: str, value: float) -> list[str]:
+    """The sub-Planck warning for a length or time input, if it applies."""
+    below = _LAW.sub_planck_length(value) if kind == "length" else _LAW.sub_planck_time(value)
+    return [f"input below the Planck {kind}; result is physically meaningless"] if below else []
+
+
+@_command(
+    "constants", "print the active constant set",
+    config={"metavar": "FILE", "help": "key = value document with c, hbar, G"},
+)
 def _cmd_constants(args: argparse.Namespace) -> dict[str, Any]:
+    constants = DEFAULT_CONSTANTS
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as handle:
@@ -184,221 +207,103 @@ def _cmd_constants(args: argparse.Namespace) -> dict[str, Any]:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
         constants = load_constants(text)
-    else:
-        constants = default_constants()
-    rows = [
-        {"name": "c", "value": constants.c, "unit": "cm/s"},
-        {"name": "hbar", "value": constants.hbar, "unit": "erg s"},
-        {"name": "G", "value": constants.G, "unit": "cm3/(g s2)"},
-        {"name": "l_planck", "value": constants.l_planck, "unit": "cm"},
-        {"name": "t_planck", "value": constants.t_planck, "unit": "s"},
-        {"name": "m_planck", "value": constants.m_planck, "unit": "g"},
-    ]
     return {
         "command": "constants",
         "params": {"config": args.config},
-        "rows": rows,
+        "rows": [
+            {"name": name, "value": value, "unit": _CONSTANT_UNITS[name]}
+            for name, value in asdict(constants).items()
+        ],
         "violations": validate_constants(constants),
         "warnings": [],
     }
 
 
+@_command(
+    "uncertainty", "cube-root length/time uncertainty",
+    length=_quantity("length", required=False), time=_quantity("time", required=False),
+)
 def _cmd_uncertainty(args: argparse.Namespace) -> dict[str, Any]:
-    law = UncertaintyLaw()
-    warnings: list[str] = []
-    if args.length is not None:
-        value = law.length_uncertainty(args.length)
-        if law.sub_planck_length(args.length):
-            warnings.append("input below the Planck length; result is physically meaningless")
-        params = {"kind": "length", "input": args.length, "input_unit": "cm"}
-        rows = [{"quantity": "delta_length", "value": value, "unit": "cm", "status": "closed-form"}]
-    else:
-        value = law.time_uncertainty(args.time)
-        if law.sub_planck_time(args.time):
-            warnings.append("input below the Planck time; result is physically meaningless")
-        params = {"kind": "time", "input": args.time, "input_unit": "s"}
-        rows = [{"quantity": "delta_time", "value": value, "unit": "s", "status": "closed-form"}]
-    return {"command": "uncertainty", "params": params, "rows": rows, "warnings": warnings}
+    kind = "length" if args.length is not None else "time"
+    value = getattr(args, kind)
+    delta = _LAW.length_uncertainty(value) if kind == "length" else _LAW.time_uncertainty(value)
+    unit = _QUANTITIES[kind][1]
+    params = {"kind": kind, "input": value, "input_unit": unit}
+    rows = [(f"delta_{kind}", delta, unit, "closed-form")]
+    return _payload(args, rows, _sub_planck(kind, value), params)
 
 
+@_command("clock-mass", "optimal clock mass for a length measurement", length=_quantity("length"))
 def _cmd_clock_mass(args: argparse.Namespace) -> dict[str, Any]:
-    law = UncertaintyLaw()
-    warnings: list[str] = []
-    if law.sub_planck_length(args.length):
-        warnings.append("input below the Planck length; result is physically meaningless")
-    return {
-        "command": "clock-mass",
-        "params": {"length": args.length, "length_unit": "cm"},
-        "rows": [
-            {
-                "quantity": "clock_mass",
-                "value": law.clock_mass(args.length),
-                "unit": "g",
-                "status": "closed-form",
-            }
-        ],
-        "warnings": warnings,
-    }
+    rows = [("clock_mass", _LAW.clock_mass(args.length), "g", "closed-form")]
+    return _payload(args, rows, _sub_planck("length", args.length))
 
 
+@_command("fluct", "curvature / Riemann-scalar / density fluctuations", length=_quantity("length"))
 def _cmd_fluct(args: argparse.Namespace) -> dict[str, Any]:
-    law = UncertaintyLaw()
-    profile = fluctuation_profile(args.length, law.constants)
-    warnings: list[str] = []
-    if law.sub_planck_length(args.length):
-        warnings.append("input below the Planck length; result is physically meaningless")
-    if not linearization_ok(args.length, law.constants):
+    profile = fluctuation_profile(args.length)
+    warnings = _sub_planck("length", args.length)
+    if not linearization_ok(args.length):
         warnings.append("linearization questionable: l is below 100 Planck lengths")
     rows = [
-        {"quantity": "delta_c", "value": profile.delta_c, "unit": "1/cm", "status": "closed-form"},
-        {
-            "quantity": "delta_r",
-            "value": profile.delta_r,
-            "unit": "1/cm2",
-            "status": "order-of-magnitude",
-        },
-        {
-            "quantity": "delta_rho",
-            "value": profile.delta_rho,
-            "unit": "g/cm3",
-            "status": "order-of-magnitude",
-        },
+        ("delta_c", profile.delta_c, "1/cm", "closed-form"),
+        ("delta_r", profile.delta_r, "1/cm2", "order-of-magnitude"),
+        ("delta_rho", profile.delta_rho, "g/cm3", "order-of-magnitude"),
     ]
-    return {
-        "command": "fluct",
-        "params": {"length": args.length, "length_unit": "cm"},
-        "rows": rows,
-        "warnings": warnings,
-    }
+    return _payload(args, rows, warnings)
 
 
+@_command(
+    "threshold", "largest length keeping density fluctuations below a bound",
+    density=_quantity("density"),
+)
 def _cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
-    law = UncertaintyLaw()
-    return {
-        "command": "threshold",
-        "params": {"density": args.density, "density_unit": "g/cm3"},
-        "rows": [
-            {
-                "quantity": "max_length",
-                "value": law.max_length_for_density(args.density),
-                "unit": "cm",
-                "status": "order-of-magnitude",
-            }
-        ],
-        "warnings": [],
-    }
+    max_length = _LAW.max_length_for_density(args.density)
+    return _payload(args, [("max_length", max_length, "cm", "order-of-magnitude")], [])
 
 
+@_command(
+    "mc", "Monte Carlo verification of the curvature noise law", length=_quantity("length"),
+    samples=_integer("N"), seed=_integer("S"), partitions=_integer("P", 1),
+)
 def _cmd_mc(args: argparse.Namespace) -> dict[str, Any]:
-    config = McConfig(
-        l=args.length, n_samples=args.samples, seed=args.seed, n_partitions=args.partitions
+    result = verify_curvature_uncertainty(
+        McConfig(args.length, args.samples, args.seed, args.partitions)
     )
-    result = verify_curvature_uncertainty(config)
     rows = [
-        {
-            "quantity": "empirical_variance",
-            "value": result.empirical_variance,
-            "unit": "s2",
-            "status": "empirical",
-        },
-        {
-            "quantity": "closed_form_variance",
-            "value": result.closed_form_variance,
-            "unit": "s2",
-            "status": "closed-form",
-        },
-        {
-            "quantity": "variance_ratio_empirical",
-            "value": result.empirical_variance / result.sigma2,
-            "unit": "-",
-            "status": "empirical",
-        },
-        {
-            "quantity": "variance_ratio_closed",
-            "value": result.closed_form_variance / result.sigma2,
-            "unit": "-",
-            "status": "closed-form",
-        },
-        {
-            "quantity": "relative_error",
-            "value": result.relative_error,
-            "unit": "-",
-            "status": "derived",
-        },
-        {
-            "quantity": "empirical_delta_c",
-            "value": result.empirical_delta_c,
-            "unit": "1/cm",
-            "status": "empirical",
-        },
-        {
-            "quantity": "closed_form_delta_c",
-            "value": result.closed_form_delta_c,
-            "unit": "1/cm",
-            "status": "closed-form",
-        },
+        ("empirical_variance", result.empirical_variance, "s2", "empirical"),
+        ("closed_form_variance", result.closed_form_variance, "s2", "closed-form"),
+        ("variance_ratio_empirical", result.empirical_variance / result.sigma2, "-", "empirical"),
+        ("variance_ratio_closed", result.closed_form_variance / result.sigma2, "-", "closed-form"),
+        ("relative_error", result.relative_error, "-", "derived"),
+        ("empirical_delta_c", result.empirical_delta_c, "1/cm", "empirical"),
+        ("closed_form_delta_c", result.closed_form_delta_c, "1/cm", "closed-form"),
     ]
-    return {
-        "command": "mc",
-        "params": {
-            "length": args.length,
-            "length_unit": "cm",
-            "samples": args.samples,
-            "seed": args.seed,
-            "partitions": args.partitions,
-        },
-        "rows": rows,
-        "warnings": [],
-    }
+    return _payload(args, rows, [])
 
 
+@_command(
+    "bounce", "toy clock-mirror bounce simulation", curvature=_quantity("curvature"),
+    separation=_quantity("length"), pulses=_integer("N", 3),
+)
 def _cmd_bounce(args: argparse.Namespace) -> dict[str, Any]:
     model = bounce.BounceModel(k=args.curvature, l=args.separation)
     record = bounce.simulate_round_trips(model, args.pulses)
-    rows: list[dict[str, Any]] = []
+    rows = []
     for index, (trip, epoch) in enumerate(zip(record.times, record.emission_epochs), start=1):
-        rows.append(
-            {"quantity": f"t_{index}", "value": trip, "unit": "s", "status": "simulated"}
-        )
-        rows.append(
-            {"quantity": f"epoch_{index}", "value": epoch, "unit": "s", "status": "simulated"}
-        )
-    rows.append(
-        {
-            "quantity": "estimated_curvature",
-            "value": record.estimated_curvature,
-            "unit": "1/cm",
-            "status": "estimated",
-        }
-    )
-    return {
-        "command": "bounce",
-        "params": {
-            "curvature": args.curvature,
-            "curvature_unit": "1/cm2",
-            "separation": args.separation,
-            "separation_unit": "cm",
-            "pulses": args.pulses,
-        },
-        "rows": rows,
-        "warnings": ["toy model: the 1/11 estimator normalization is not reproduced"],
-    }
+        rows.append((f"t_{index}", trip, "s", "simulated"))
+        rows.append((f"epoch_{index}", epoch, "s", "simulated"))
+    rows.append(("estimated_curvature", record.estimated_curvature, "1/cm", "estimated"))
+    return _payload(args, rows, ["toy model: the 1/11 estimator normalization is not reproduced"])
 
 
+@_command(
+    "report", "full claims-reproduction report",
+    seed=_integer("S", 42), samples=_integer("N", 1_000_000), partitions=_integer("P", 1),
+)
 def _cmd_report(args: argparse.Namespace) -> dict[str, Any]:
-    report = build_claim_report(
-        seed=args.seed, samples=args.samples, partitions=args.partitions
-    )
-    return {
-        "command": "report",
-        "version": report.version,
-        "seed": report.seed,
-        "samples": report.samples,
-        "partitions": report.partitions,
-        "constants": asdict(report.constants),
-        "rows": [asdict(row) for row in report.rows],
-        "warnings": [],
-    }
+    report = build_claim_report(seed=args.seed, samples=args.samples, partitions=args.partitions)
+    return {"command": "report", **asdict(report), "warnings": []}
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +316,14 @@ def _render(payload: dict[str, Any], fmt: str, precision: int) -> str:
     rounded = _round_payload(payload, precision)
     if fmt == "json":
         return json.dumps(rounded, indent=2, ensure_ascii=False) + "\n"
+    rows = rounded["rows"]
+    columns = list(rows[0]) if rows else []
+    cells = [[_format_cell(row[column], precision) for column in columns] for row in rows]
     if fmt == "csv":
-        return _render_csv(rounded, precision)
-    return _render_table(rounded, precision)
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([columns, *cells])  # RFC-4180-style, CRLF endings
+        return buffer.getvalue()
+    return _render_table(rounded, columns, cells, precision)
 
 
 def _round_payload(payload: dict[str, Any], precision: int) -> dict[str, Any]:
@@ -432,17 +342,16 @@ def _round_payload(payload: dict[str, Any], precision: int) -> dict[str, Any]:
     ]
     if "params" in payload:
         result["params"] = {
-            key: (_round_float(value, precision) if isinstance(value, float) else value)
-            for key, value in payload["params"].items()
+            key: _round_float(value, precision) for key, value in payload["params"].items()
         }
     return result
 
 
 def _round_float(value: Any, precision: int) -> Any:
-    """Round to the display precision; a non-finite result is a domain error.
+    """Round a float to the display precision; a non-finite result is a domain error.
 
     Checking the rounded value also catches a finite value that rounds
-    past the largest double at low precision.
+    past the largest double at low precision.  Other values pass through.
     """
     if isinstance(value, float):
         rounded = float(f"{value:.{precision}g}")
@@ -461,18 +370,9 @@ def _format_cell(value: Any, precision: int) -> str:
     return str(value)
 
 
-def _render_csv(payload: dict[str, Any], precision: int) -> str:
-    rows = payload["rows"]
-    columns = list(rows[0].keys()) if rows else []
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)  # default dialect: RFC-4180-style, CRLF endings
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row[column], precision) for column in columns])
-    return buffer.getvalue()
-
-
-def _render_table(payload: dict[str, Any], precision: int) -> str:
+def _render_table(
+    payload: dict[str, Any], columns: list[str], cells: list[list[str]], precision: int
+) -> str:
     lines: list[str] = []
     for key, value in payload.items():
         if key in ("rows", "command"):
@@ -481,22 +381,13 @@ def _render_table(payload: dict[str, Any], precision: int) -> str:
             for sub_key, sub_value in value.items():
                 lines.append(f"{sub_key}: {_format_cell(sub_value, precision)}")
         elif isinstance(value, list):
-            for item in value:
-                label = "warning" if key == "warnings" else key.rstrip("s")
-                lines.append(f"{label}: {item}")
+            lines.extend(f"{key.rstrip('s')}: {item}" for item in value)
         else:
             lines.append(f"{key}: {_format_cell(value, precision)}")
-    rows = payload["rows"]
-    if rows:
-        columns = list(rows[0].keys())
-        table = [[_format_cell(row[column], precision) for column in columns] for row in rows]
-        widths = [
-            max(len(columns[i]), max(len(line[i]) for line in table)) for i in range(len(columns))
-        ]
+    if cells:
+        widths = [max(map(len, column)) for column in zip(columns, *cells)]
         if lines:
             lines.append("")
-        lines.append("  ".join(name.ljust(width) for name, width in zip(columns, widths)).rstrip())
-        lines.append("  ".join("-" * width for width in widths))
-        for line in table:
+        for line in (columns, ["-" * width for width in widths], *cells):
             lines.append("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
     return "\n".join(lines) + "\n"

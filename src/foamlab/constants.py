@@ -19,6 +19,7 @@ cannot be broken by configuration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
@@ -55,10 +56,23 @@ class ConstantSet:
     m_planck: Mass
 
 
+def require_positive_finite(name: str, value: float) -> None:
+    """The toolkit's one input check: value must be a finite int or float above 0."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be a strictly positive finite number, got {value!r}")
+
+
+def require_representable(name: str, value: float, l: Length) -> float:
+    """value, if it is a normal double; DomainError naming the length l otherwise."""
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise DomainError(f"{name} at l = {l!r} cm is not a representable double (got {value!r})")
+    return value
+
+
 def make_constants(c: float, hbar: float, G: float) -> ConstantSet:
     """Build a ConstantSet, deriving the Planck units from (c, hbar, G)."""
     for name, value in (("c", c), ("hbar", hbar), ("G", G)):
-        _require_positive_finite(name, value)
+        require_positive_finite(name, value)
     l_planck = math.sqrt(hbar * G / c**3)
     return ConstantSet(
         c=c,
@@ -70,9 +84,15 @@ def make_constants(c: float, hbar: float, G: float) -> ConstantSet:
     )
 
 
+# CODATA-2018 constants in CGS with derived Planck units, built once.  The
+# set is frozen, so every caller may share it; each `constants` parameter
+# in the toolkit defaults to it.
+DEFAULT_CONSTANTS = make_constants(C_DEFAULT, HBAR_DEFAULT, G_DEFAULT)
+
+
 def default_constants() -> ConstantSet:
-    """CODATA-2018 constants in CGS with derived Planck units."""
-    return make_constants(C_DEFAULT, HBAR_DEFAULT, G_DEFAULT)
+    """The shared CODATA-2018 set, DEFAULT_CONSTANTS."""
+    return DEFAULT_CONSTANTS
 
 
 def validate_constants(constants: ConstantSet) -> list[str]:
@@ -93,8 +113,10 @@ def validate_constants(constants: ConstantSet) -> list[str]:
         ("m_planck", constants.m_planck),
     )
     for name, value in fields:
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            violations.append(f"{name} must be a strictly positive finite number, got {value!r}")
+        try:
+            require_positive_finite(name, value)
+        except DomainError as exc:
+            violations.append(str(exc))
     if violations:
         return violations
 
@@ -148,9 +170,6 @@ def load_constants(config_text: str) -> ConstantSet:
         except ValueError:
             raise ConfigError(f"line {lineno}: value for {key!r} is not a number: {text!r}") from None
         values[key] = value
-    for key in _CONFIG_KEYS:
-        if key in values:
-            _require_positive_finite(key, values[key])
     return make_constants(
         c=values.get("c", C_DEFAULT),
         hbar=values.get("hbar", HBAR_DEFAULT),
@@ -170,8 +189,3 @@ def serialize_constants(constants: ConstantSet) -> str:
         f"hbar = {constants.hbar!r}\n"
         f"G = {constants.G!r}\n"
     )
-
-
-def _require_positive_finite(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be a strictly positive finite number, got {value!r}")

@@ -18,16 +18,16 @@ the `sub_planck_*` helpers back.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import (
+    DEFAULT_CONSTANTS,
     ConstantSet,
     Length,
     Mass,
     MassDensity,
     TimeInterval,
-    default_constants,
+    require_positive_finite,
     validate_constants,
 )
 from .errors import DomainError
@@ -38,9 +38,10 @@ class UncertaintyLaw:
     """Cube-root uncertainty laws over an immutable ConstantSet.
 
     All methods are pure; instances are safe to share between tasks.
+    constants defaults to the shared CODATA-2018 set, DEFAULT_CONSTANTS.
     """
 
-    constants: ConstantSet = field(default_factory=default_constants)
+    constants: ConstantSet = DEFAULT_CONSTANTS
 
     def __post_init__(self) -> None:
         violations = validate_constants(self.constants)
@@ -49,17 +50,17 @@ class UncertaintyLaw:
 
     def length_uncertainty(self, l: Length) -> Length:
         """delta_l = l_planck^(2/3) * l^(1/3); fixed point at l = l_planck."""
-        _require_positive("l", l)
+        require_positive_finite("l", l)
         return self.constants.l_planck ** (2.0 / 3.0) * l ** (1.0 / 3.0)
 
     def time_uncertainty(self, t: TimeInterval) -> TimeInterval:
         """delta_t = t_planck^(2/3) * t^(1/3)."""
-        _require_positive("t", t)
+        require_positive_finite("t", t)
         return self.constants.t_planck ** (2.0 / 3.0) * t ** (1.0 / 3.0)
 
     def clock_mass(self, l: Length) -> Mass:
         """Optimal clock mass m = m_planck * (l / l_planck)^(1/3)."""
-        _require_positive("l", l)
+        require_positive_finite("l", l)
         return self.constants.m_planck * (l / self.constants.l_planck) ** (1.0 / 3.0)
 
     def max_length_for_density(self, rho_max: MassDensity) -> Length:
@@ -68,7 +69,7 @@ class UncertaintyLaw:
         Solves (hbar/c) * l_planck^(-2/3) * l^(-10/3) = rho_max for l, the
         inverse of wigner.density_fluctuation.
         """
-        _require_positive("rho_max", rho_max)
+        require_positive_finite("rho_max", rho_max)
         cs = self.constants
         scale = (cs.hbar / cs.c) * cs.l_planck ** (-2.0 / 3.0)
         return (scale / rho_max) ** 0.3
@@ -80,8 +81,3 @@ class UncertaintyLaw:
     def sub_planck_time(self, t: TimeInterval) -> bool:
         """True when t sits below the Planck time."""
         return t < self.constants.t_planck
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be a strictly positive finite number, got {value!r}")

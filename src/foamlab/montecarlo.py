@@ -43,12 +43,18 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ConstantSet, Curvature, Length, default_constants
+from .constants import (
+    DEFAULT_CONSTANTS,
+    ConstantSet,
+    Curvature,
+    Length,
+    require_positive_finite,
+    require_representable,
+)
 from .errors import DomainError
 from .laws import UncertaintyLaw
 from .wigner import TripletCovariance, curvature_uncertainty, second_difference_variance
@@ -80,8 +86,7 @@ class McConfig:
     n_partitions: int = 1
 
     def validate(self) -> None:
-        if not (isinstance(self.l, (int, float)) and math.isfinite(self.l) and self.l > 0):
-            raise DomainError(f"l must be a strictly positive finite length, got {self.l!r}")
+        require_positive_finite("l", self.l)
         if not (isinstance(self.n_samples, int) and self.n_samples >= 1):
             raise DomainError(f"n_samples must be a positive integer, got {self.n_samples!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
@@ -108,10 +113,12 @@ class McResult:
     sigma2: float
 
 
-def ngvandam_covariance(l: Length, constants: ConstantSet | None = None) -> TripletCovariance:
-    """Covariance of (t1, t2, t3) implied by the cube-root law at length l."""
-    cs = constants or default_constants()
-    sigma = UncertaintyLaw(cs).time_uncertainty(l / cs.c)
+def ngvandam_covariance(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> TripletCovariance:
+    """Covariance of (t1, t2, t3) implied by the cube-root law at length l.
+
+    constants defaults to DEFAULT_CONSTANTS.
+    """
+    sigma = UncertaintyLaw(constants).time_uncertainty(l / constants.c)
     sigma2 = sigma * sigma
     return TripletCovariance(
         sigma2=sigma2,
@@ -129,7 +136,7 @@ def eigenvalues(cov: TripletCovariance) -> tuple[float, float, float]:
 
 def verify_curvature_uncertainty(
     config: McConfig,
-    constants: ConstantSet | None = None,
+    constants: ConstantSet = DEFAULT_CONSTANTS,
     cov_override: TripletCovariance | None = None,
 ) -> McResult:
     """Empirically reproduce the closed-form curvature noise at config.l.
@@ -139,17 +146,20 @@ def verify_curvature_uncertainty(
     module docstring describes, and compares the sample variance against
     the closed form.  The empirical delta_C uses the linearized estimator
     sqrt(Var) * c / (11 l^2).  A delta_C that is not a normal double at
-    config.l raises DomainError.
+    config.l, or a covariance whose second difference has no variance,
+    raises DomainError.  constants defaults to DEFAULT_CONSTANTS.
     """
     config.validate()
-    cs = constants or default_constants()
-    cov = cov_override if cov_override is not None else ngvandam_covariance(config.l, cs)
+    cov = cov_override if cov_override is not None else ngvandam_covariance(config.l, constants)
     if config.n_samples < 2:
         raise DomainError("n_samples must be at least 2 to estimate a variance")
-    closed_form_delta_c = _representable(
-        "closed-form delta_C", curvature_uncertainty(config.l, cs), config.l
-    )
+    closed_form_delta_c = curvature_uncertainty(config.l, constants)
+    # Validates cov; _psd_factor relies on that.
     closed_form_variance = second_difference_variance(cov)
+    if not closed_form_variance > 0:
+        raise DomainError(
+            f"second-difference variance must be positive, got {closed_form_variance!r}"
+        )
     block = functools.partial(_block_moments, config.seed, _psd_factor(cov).T @ SECOND_DIFFERENCE)
     n = config.n_samples
     sizes = [min(BLOCK_ROWS, n - start) for start in range(0, n, BLOCK_ROWS)]
@@ -168,9 +178,9 @@ def verify_curvature_uncertainty(
     relative_error = abs(empirical_variance - closed_form_variance) / closed_form_variance
     # Dividing by l twice: l**2 alone overflows above ~1e154 cm and goes
     # subnormal (losing digits) below ~1e-154 cm, where delta_C still fits.
-    empirical_delta_c = _representable(
+    empirical_delta_c = require_representable(
         "empirical delta_C",
-        math.sqrt(empirical_variance) * cs.c / (11.0 * config.l) / config.l,
+        math.sqrt(empirical_variance) * constants.c / (11.0 * config.l) / config.l,
         config.l,
     )
     return McResult(
@@ -220,21 +230,13 @@ def _combine(a: Moments, b: Moments) -> Moments:
     )
 
 
-def _representable(name: str, value: float, l: Length) -> float:
-    """value, if it is a normal double; DomainError otherwise."""
-    if not sys.float_info.min <= value <= sys.float_info.max:
-        raise DomainError(f"{name} at l = {l!r} cm is not a representable double (got {value!r})")
-    return value
-
-
 def _psd_factor(cov: TripletCovariance) -> np.ndarray:
-    """Factor F with F F^T = cov, after cov.validate() rejects indefinite input.
+    """Factor F with F F^T = cov, for a cov that has passed cov.validate().
 
     Cholesky when strictly positive definite; on the PSD boundary (for
     example the all-ones correlation) an eigenvalue factor with negatives
     clipped at zero.
     """
-    cov.validate()
     matrix = cov.matrix()
     try:
         return np.linalg.cholesky(matrix)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .constants import ConstantSet, default_constants
+from .constants import DEFAULT_CONSTANTS, ConstantSet
 from .errors import DomainError
 from .laws import UncertaintyLaw
 from .montecarlo import McConfig, eigenvalues, ngvandam_covariance, verify_curvature_uncertainty
@@ -79,13 +79,13 @@ class ClaimReport:
 
 
 def build_claim_report(
-    constants: ConstantSet | None = None,
+    constants: ConstantSet = DEFAULT_CONSTANTS,
     seed: int = 42,
     samples: int = 1_000_000,
     partitions: int = 1,
 ) -> ClaimReport:
-    cs = constants or default_constants()
-    law = UncertaintyLaw(cs)
+    """Recompute every claim row; constants defaults to DEFAULT_CONSTANTS."""
+    law = UncertaintyLaw(constants)
     rows: list[ClaimRow] = []
 
     def add(
@@ -164,7 +164,7 @@ def build_claim_report(
 
     # Monte Carlo reproduction at l = 1 cm.
     mc = verify_curvature_uncertainty(
-        McConfig(l=1.0, n_samples=samples, seed=seed, n_partitions=partitions), cs
+        McConfig(l=1.0, n_samples=samples, seed=seed, n_partitions=partitions), constants
     )
     variance_ratio = mc.empirical_variance / mc.sigma2
     add(
@@ -189,7 +189,7 @@ def build_claim_report(
     )
 
     # Correlation-matrix spectrum.
-    cov_1cm = ngvandam_covariance(1.0, cs)
+    cov_1cm = ngvandam_covariance(1.0, constants)
     correlation = TripletCovariance(
         sigma2=1.0,
         cov12=cov_1cm.cov12 / cov_1cm.sigma2,
@@ -222,7 +222,7 @@ def build_claim_report(
     )
 
     # Density-fluctuation claims (order-of-magnitude laws).
-    rho_water = density_fluctuation(1e-5, cs)
+    rho_water = density_fluctuation(1e-5, constants)
     add(
         "water-density",
         "energy-density fluctuation at averaging length l = 1e-5 cm",
@@ -246,7 +246,7 @@ def build_claim_report(
         "order-of-magnitude",
     )
     roundtrip_gap = max(
-        abs(law.max_length_for_density(density_fluctuation(l, cs)) / l - 1.0)
+        abs(law.max_length_for_density(density_fluctuation(l, constants)) / l - 1.0)
         for l in np.logspace(-8.0, 8.0, 81)
     )
     add(
@@ -261,7 +261,7 @@ def build_claim_report(
         "closed-form",
     )
     two_form_gap = max(
-        _density_two_form_gap(l, cs) for l in np.logspace(-3.0, 3.0, 61)
+        _density_two_form_gap(l, constants) for l in np.logspace(-3.0, 3.0, 61)
     )
     add(
         "density-two-form",
@@ -276,8 +276,8 @@ def build_claim_report(
     )
 
     # Toy bounce simulator checks.
-    flat = bounce.simulate_round_trips(bounce.BounceModel(k=0.0, l=1.0, constants=cs), 6)
-    flat_gap = max(abs(t * cs.c / 1.0 - 1.0) for t in flat.times)
+    flat = bounce.simulate_round_trips(bounce.BounceModel(k=0.0, l=1.0, constants=constants), 6)
+    flat_gap = max(abs(t * constants.c / 1.0 - 1.0) for t in flat.times)
     add(
         "bounce-flat",
         "max relative deviation of flat-space round trips from l/c (K = 0, 6 pulses)",
@@ -289,7 +289,7 @@ def build_claim_report(
         "toy-simulation",
     )
     response = bounce.estimator_response(
-        [k * 4.0 for k in (1e-6, 1.78e-6, 3.16e-6, 5.62e-6, 1e-5)], 1.0, cs
+        [k * 4.0 for k in (1e-6, 1.78e-6, 3.16e-6, 5.62e-6, 1e-5)], 1.0, constants
     )
     add(
         "bounce-linearity",
@@ -302,7 +302,7 @@ def build_claim_report(
         "< 1e-3 relative",
         "toy-simulation",
     )
-    scaling_ratio = _second_difference_doubling_ratio(cs)
+    scaling_ratio = _second_difference_doubling_ratio(constants)
     add(
         "bounce-tau-cubed",
         "second-difference ratio when doubling the separation at fixed K",
@@ -331,7 +331,7 @@ def build_claim_report(
         "closed-form",
     )
     curvature_scaling_gap = abs(
-        curvature_uncertainty(8.0, cs) / curvature_uncertainty(1.0, cs) * 32.0 - 1.0
+        curvature_uncertainty(8.0, constants) / curvature_uncertainty(1.0, constants) * 32.0 - 1.0
     )
     add(
         "scaling-curvature-noise",
@@ -349,7 +349,7 @@ def build_claim_report(
         seed=seed,
         samples=samples,
         partitions=partitions,
-        constants=cs,
+        constants=constants,
         rows=tuple(rows),
     )
 

@@ -25,17 +25,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .constants import (
+    DEFAULT_CONSTANTS,
     ConstantSet,
     Curvature,
     Curvature2,
     Length,
     MassDensity,
     TimeInterval,
-    default_constants,
+    require_positive_finite,
+    require_representable,
 )
 from .errors import ConsistencyError, DomainError
 
@@ -64,8 +67,7 @@ class PulseTriplet:
 
     def validate(self) -> None:
         for name, value in (("t1", self.t1), ("t2", self.t2), ("t3", self.t3)):
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be a strictly positive finite time, got {value!r}")
+            require_positive_finite(name, value)
 
 
 @dataclass(frozen=True)
@@ -115,17 +117,20 @@ class FluctuationProfile:
     delta_rho: MassDensity
 
 
-def estimate_curvature(triplet: PulseTriplet, constants: ConstantSet | None = None) -> Curvature:
+def estimate_curvature(
+    triplet: PulseTriplet, constants: ConstantSet = DEFAULT_CONSTANTS
+) -> Curvature:
     """Average curvature (t1 - 2 t2 + t3) / (11 c t2^2) in 1/cm.
 
     The second difference makes the estimate invariant under affine
     trends in the pulse index and linear in (t1, t3) at fixed t2; the
-    sign of the second difference is preserved.
+    sign of the second difference is preserved.  constants defaults to
+    DEFAULT_CONSTANTS.
     """
-    cs = constants or default_constants()
     triplet.validate()
     second_difference = triplet.t1 - 2.0 * triplet.t2 + triplet.t3
-    return second_difference / (11.0 * cs.c * triplet.t2**2)
+    # Dividing by t2 twice: t2**2 underflows to zero below ~1e-162 s.
+    return second_difference / (11.0 * constants.c * triplet.t2) / triplet.t2
 
 
 def second_difference_variance(cov: TripletCovariance) -> float | np.ndarray:
@@ -166,15 +171,16 @@ def second_difference_variance(cov: TripletCovariance) -> float | np.ndarray:
     return direct
 
 
-def curvature_uncertainty(l: Length, constants: ConstantSet | None = None) -> Curvature:
+def curvature_uncertainty(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> Curvature:
     """Closed-form curvature noise delta_C(l) in 1/cm.
 
     Equals CURVATURE_NOISE_COEFF * (1/l) * (l_planck/l)^(2/3); scales as
-    l^(-5/3).
+    l^(-5/3).  constants defaults to DEFAULT_CONSTANTS.  A result that is
+    not a normal double raises DomainError.
     """
-    cs = constants or default_constants()
-    _require_positive_length(l)
-    return CURVATURE_NOISE_COEFF * (1.0 / l) * (cs.l_planck / l) ** (2.0 / 3.0)
+    require_positive_finite("l", l)
+    ratio = constants.l_planck / l
+    return _evaluate("delta_C", l, lambda: CURVATURE_NOISE_COEFF * (1.0 / l) * ratio ** (2.0 / 3.0))
 
 
 def riemann_component(c_value: Curvature) -> Curvature2:
@@ -184,28 +190,32 @@ def riemann_component(c_value: Curvature) -> Curvature2:
     return 2.0 * c_value * c_value
 
 
-def riemann_scalar_fluctuation(l: Length, constants: ConstantSet | None = None) -> Curvature2:
+def riemann_scalar_fluctuation(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> Curvature2:
     """Riemann-scalar fluctuation (1/l^2) * (l_planck/l)^(4/3) in 1/cm^2.
 
     Order-of-magnitude law, implemented with coefficient exactly 1.
+    constants defaults to DEFAULT_CONSTANTS.  A result that is not a
+    normal double raises DomainError.
     """
-    cs = constants or default_constants()
-    _require_positive_length(l)
-    return (1.0 / l**2) * (cs.l_planck / l) ** (4.0 / 3.0)
+    require_positive_finite("l", l)
+    ratio = constants.l_planck / l
+    return _evaluate("delta_R", l, lambda: (1.0 / l**2) * ratio ** (4.0 / 3.0))
 
 
-def density_fluctuation(l: Length, constants: ConstantSet | None = None) -> MassDensity:
+def density_fluctuation(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> MassDensity:
     """Energy-density fluctuation (hbar/c) * l_planck^(-2/3) * l^(-10/3) in g/cm^3.
 
     Order-of-magnitude law with coefficient exactly 1.  Also evaluated as
     (c^2/G) * riemann_scalar_fluctuation(l); the two forms are the same
     identity through l_planck^2 = hbar G / c^3 and must agree to 1e-12
-    relative, else ConsistencyError.
+    relative, else ConsistencyError.  constants defaults to
+    DEFAULT_CONSTANTS.  A form that is not a normal double raises
+    DomainError.
     """
-    cs = constants or default_constants()
-    _require_positive_length(l)
-    direct = (cs.hbar / cs.c) * cs.l_planck ** (-2.0 / 3.0) * l ** (-10.0 / 3.0)
-    via_scalar = (cs.c**2 / cs.G) * riemann_scalar_fluctuation(l, cs)
+    require_positive_finite("l", l)
+    scale = (constants.hbar / constants.c) * constants.l_planck ** (-2.0 / 3.0)
+    direct = _evaluate("delta_rho", l, lambda: scale * l ** (-10.0 / 3.0))
+    via_scalar = (constants.c**2 / constants.G) * riemann_scalar_fluctuation(l, constants)
     if abs(direct - via_scalar) > _ROUTE_RTOL * direct:
         raise ConsistencyError(
             f"density fluctuation forms disagree: {direct!r} vs {via_scalar!r}"
@@ -213,23 +223,38 @@ def density_fluctuation(l: Length, constants: ConstantSet | None = None) -> Mass
     return direct
 
 
-def fluctuation_profile(l: Length, constants: ConstantSet | None = None) -> FluctuationProfile:
-    """Bundle delta_C, delta_R, delta_rho at one averaging length."""
-    cs = constants or default_constants()
+def fluctuation_profile(
+    l: Length, constants: ConstantSet = DEFAULT_CONSTANTS
+) -> FluctuationProfile:
+    """Bundle delta_C, delta_R, delta_rho at one averaging length.
+
+    constants defaults to DEFAULT_CONSTANTS.
+    """
     return FluctuationProfile(
         l=l,
-        delta_c=curvature_uncertainty(l, cs),
-        delta_r=riemann_scalar_fluctuation(l, cs),
-        delta_rho=density_fluctuation(l, cs),
+        delta_c=curvature_uncertainty(l, constants),
+        delta_r=riemann_scalar_fluctuation(l, constants),
+        delta_rho=density_fluctuation(l, constants),
     )
 
 
-def linearization_ok(l: Length, constants: ConstantSet | None = None) -> bool:
-    """True when l is at least LINEARIZATION_MIN_PLANCK Planck lengths."""
-    cs = constants or default_constants()
-    return l >= LINEARIZATION_MIN_PLANCK * cs.l_planck
+def linearization_ok(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> bool:
+    """True when l is at least LINEARIZATION_MIN_PLANCK Planck lengths.
+
+    constants defaults to DEFAULT_CONSTANTS.
+    """
+    return l >= LINEARIZATION_MIN_PLANCK * constants.l_planck
 
 
-def _require_positive_length(l: float) -> None:
-    if not (isinstance(l, (int, float)) and math.isfinite(l) and l > 0):
-        raise DomainError(f"l must be a strictly positive finite length, got {l!r}")
+def _evaluate(name: str, l: Length, formula: Callable[[], float]) -> float:
+    """formula(), if it is a normal double; DomainError otherwise.
+
+    A float power that leaves the double range raises OverflowError, and
+    1/l**2 raises ZeroDivisionError once l**2 underflows; both mean the
+    law at l is outside double precision.
+    """
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"{name} at l = {l!r} cm overflows a double") from None
+    return require_representable(name, value, l)

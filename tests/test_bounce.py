@@ -24,6 +24,11 @@ class TestModel:
         with pytest.raises(DomainError, match="guard"):
             BounceModel(k=0.05, l=1.0)  # |K| (l/2)^2 = 0.0125
 
+    def test_guard_without_overflow_at_huge_separation(self):
+        assert BounceModel(k=0.0, l=1e300).l == 1e300
+        with pytest.raises(DomainError, match="guard"):
+            BounceModel(k=1e-300, l=1e300)
+
     def test_rejects_bad_separation(self):
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -231,6 +233,45 @@ class TestSchema:
         code, out, _ = run_cli(SAMPLE_INVOCATIONS[name])
         assert code == 0
         jsonschema.validate(json.loads(out), SCHEMA)
+
+
+# L log-uniform over every positive double, 5e-324 ... 1.7e308.
+whole_range_lengths = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(
+    lambda exponent: max(10.0**exponent, 5e-324)
+)
+
+
+class TestWholeRange:
+    """Any positive length ends in a valid answer (exit 0) or one error line (exit 1)."""
+
+    @staticmethod
+    def check(run_cli, args):
+        code, out, err = run_cli(args + ["--format", "json"])
+        assert code in (0, 1)
+        if code == 1:
+            assert out == "" and err.startswith("foamlab: error:") and err.count("\n") == 1
+        else:
+            payload = json.loads(out)
+            assert json.loads(json.dumps(payload, allow_nan=False)) == payload
+            jsonschema.validate(payload, SCHEMA)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(l=whole_range_lengths)
+    @example(l=1e-300)
+    @example(l=1e-200)
+    @example(l=1e155)
+    @example(l=1e300)
+    def test_fluct(self, run_cli, l):
+        self.check(run_cli, ["fluct", "--length", repr(l)])
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(l=whole_range_lengths)
+    @example(l=1e-300)
+    @example(l=1e-200)
+    @example(l=1e155)
+    @example(l=1e300)
+    def test_flat_bounce(self, run_cli, l):
+        self.check(run_cli, ["bounce", "--curvature", "0", "--separation", repr(l)])
 
 
 class TestDeterminism:

@@ -114,6 +114,24 @@ class TestSampling:
                 McConfig(l=1.0, n_samples=10, seed=0), cov_override=bad
             )
 
+    def test_validates_covariance_once(self, monkeypatch):
+        calls = []
+        validate = TripletCovariance.validate
+
+        def counted(cov):
+            calls.append(cov)
+            validate(cov)
+
+        monkeypatch.setattr(TripletCovariance, "validate", counted)
+        verify_curvature_uncertainty(McConfig(l=1.0, n_samples=100, seed=1))
+        assert len(calls) == 1
+
+    def test_rejects_zero_variance_covariance(self):
+        # The all-ones correlation is PSD, but its second difference is exactly 0.
+        ones = TripletCovariance(sigma2=1.0, cov12=1.0, cov23=1.0, cov13=1.0)
+        with pytest.raises(DomainError, match="variance must be positive"):
+            verify_curvature_uncertainty(McConfig(l=1.0, n_samples=10, seed=0), cov_override=ones)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             McConfig(l=-1.0, n_samples=10, seed=0).validate()

@@ -72,6 +72,10 @@ class TestEstimateCurvature:
         bumped = estimate_curvature(PulseTriplet(t1 + bump, 1.0, t3), cs)
         assert bumped - base == pytest.approx(bump / (11.0 * cs.c), rel=1e-9)
 
+    def test_subnormal_times(self):
+        # t2**2 underflows to zero here; dividing by t2 twice does not.
+        assert estimate_curvature(PulseTriplet(1e-311, 1e-311, 1e-311)) == 0.0
+
     def test_rejects_nonpositive_times(self):
         with pytest.raises(DomainError):
             estimate_curvature(PulseTriplet(1.0, 0.0, 1.0))
@@ -224,6 +228,13 @@ class TestClosedFormChain:
                 op(bad)
         with pytest.raises(DomainError):
             riemann_component(float("nan"))
+
+    @pytest.mark.parametrize("l", [5e-324, 1e-300, 1e-200, 1e300, 1.7e308])
+    def test_unrepresentable_lengths_are_domain_errors(self, l):
+        # Each law leaves the normal doubles, or overflows on the way, at these lengths.
+        for op in (curvature_uncertainty, riemann_scalar_fluctuation, density_fluctuation):
+            with pytest.raises(DomainError, match="l = "):
+                op(l)
 
 
 class TestProfile:
