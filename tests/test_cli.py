@@ -244,9 +244,22 @@ whole_range_lengths = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(
 class TestWholeRange:
     """Any positive length ends in a valid answer (exit 0) or one error line (exit 1)."""
 
-    @staticmethod
-    def check(run_cli, args):
-        code, out, err = run_cli(args + ["--format", "json"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda l: ["fluct", "--length", repr(l)],
+            lambda l: ["bounce", "--curvature", "0", "--separation", repr(l)],
+        ],
+        ids=["fluct", "flat_bounce"],
+    )
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(l=whole_range_lengths)
+    @example(l=1e-300)
+    @example(l=1e-200)
+    @example(l=1e155)
+    @example(l=1e300)
+    def test_exits_cleanly(self, run_cli, command, l):
+        code, out, err = run_cli(command(l) + ["--format", "json"])
         assert code in (0, 1)
         if code == 1:
             assert out == "" and err.startswith("foamlab: error:") and err.count("\n") == 1
@@ -254,24 +267,6 @@ class TestWholeRange:
             payload = json.loads(out)
             assert json.loads(json.dumps(payload, allow_nan=False)) == payload
             jsonschema.validate(payload, SCHEMA)
-
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(l=whole_range_lengths)
-    @example(l=1e-300)
-    @example(l=1e-200)
-    @example(l=1e155)
-    @example(l=1e300)
-    def test_fluct(self, run_cli, l):
-        self.check(run_cli, ["fluct", "--length", repr(l)])
-
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(l=whole_range_lengths)
-    @example(l=1e-300)
-    @example(l=1e-200)
-    @example(l=1e155)
-    @example(l=1e300)
-    def test_flat_bounce(self, run_cli, l):
-        self.check(run_cli, ["bounce", "--curvature", "0", "--separation", repr(l)])
 
 
 class TestDeterminism:
