@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .constants import (
     DEFAULT_CONSTANTS,
@@ -105,12 +106,17 @@ def mirror_separation(model: BounceModel, t: TimeInterval) -> Length:
     """Clock-mirror separation xi(t) at coordinate time t >= 0."""
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0):
         raise DomainError(f"t must be a finite non-negative time, got {t!r}")
+    return _separation(model)(t)
+
+
+def _separation(model: BounceModel) -> Callable[[float], float]:
+    """xi(t) of the model, with its branch, omega and l/2 resolved once; t is not checked."""
     half = model.l / 2.0
-    if model.k > 0:
-        return half * math.cos(model.omega() * t)
-    if model.k < 0:
-        return half * math.cosh(model.omega() * t)
-    return half
+    if model.k == 0:
+        return lambda t: half
+    omega = model.omega()
+    wave = math.cos if model.k > 0 else math.cosh
+    return lambda t: half * wave(omega * t)
 
 
 def simulate_round_trips(model: BounceModel, n_pulses: int) -> BounceRecord:
@@ -131,13 +137,14 @@ def simulate_round_trips(model: BounceModel, n_pulses: int) -> BounceRecord:
                 f"simulated window omega*T = {window:.3e} exceeds the guard {WINDOW_GUARD}; "
                 "reduce n_pulses or |K|"
             )
+    xi = _separation(model)
     times: list[float] = []
     epochs: list[float] = []
     epoch = 0.0
     for _ in range(n_pulses):
         epochs.append(epoch)
-        outbound = solve_outbound(model, epoch)
-        trip = outbound + mirror_separation(model, epoch + outbound) / cs.c
+        outbound = _solve_outbound(xi, model.l, cs.c, epoch)
+        trip = outbound + xi(epoch + outbound) / cs.c
         times.append(trip)
         epoch += trip
     estimate = estimate_curvature(PulseTriplet(times[0], times[1], times[2]), cs)
@@ -154,26 +161,31 @@ def solve_outbound(model: BounceModel, t_emit: TimeInterval) -> TimeInterval:
     the guard; bisection with secant proposals converges to an absolute
     residual below ROOT_RESIDUAL_RTOL * l.
     """
-    cs = model.constants
-    half = model.l / 2.0
+    def xi(t: float) -> float:
+        return mirror_separation(model, t)
 
-    def gap(u: float) -> float:
-        return cs.c * u - mirror_separation(model, t_emit + u)
+    return _solve_outbound(xi, model.l, model.constants.c, t_emit)
 
-    lo, hi = 0.0, 4.0 * half / cs.c
-    gap_lo, gap_hi = gap(lo), gap(hi)
+
+def _solve_outbound(
+    xi: Callable[[float], float], l: Length, c: float, t_emit: TimeInterval
+) -> TimeInterval:
+    """solve_outbound for the separation xi; the pulse loop passes _separation's xi."""
+    half = l / 2.0
+    lo, hi = 0.0, 4.0 * half / c
+    gap_lo, gap_hi = c * lo - xi(t_emit + lo), c * hi - xi(t_emit + hi)
     if not (gap_lo < 0.0 < gap_hi):
         raise DomainError(
             "outbound bracket failure (mirror reached the clock within the window): "
             f"gap({lo!r}) = {gap_lo!r}, gap({hi!r}) = {gap_hi!r}"
         )
-    tolerance = ROOT_RESIDUAL_RTOL * model.l
+    tolerance = ROOT_RESIDUAL_RTOL * l
     u = 0.5 * (lo + hi)
     for _ in range(MAX_ROOT_ITERATIONS):
         u = hi - gap_hi * (hi - lo) / (gap_hi - gap_lo)
         if not (lo < u < hi):
             u = 0.5 * (lo + hi)
-        gap_u = gap(u)
+        gap_u = c * u - xi(t_emit + u)
         if abs(gap_u) < tolerance:
             return u
         if gap_u < 0.0:

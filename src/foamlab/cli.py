@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring
 from typing import Any, Callable
 
 from . import __version__
@@ -312,39 +312,45 @@ def _cmd_report(args: argparse.Namespace) -> dict[str, Any]:
 _VALUE_KEYS = ("value", "computed_value")
 
 
+class _Table:
+    """Row dicts that share one key order, held column by column."""
+
+    def __init__(self, names: list[str], columns: list[list[Any]]) -> None:
+        self.names = names
+        self.columns = columns
+
+
 def _render(payload: dict[str, Any], fmt: str, precision: int) -> str:
-    rounded = _round_payload(payload, precision)
-    if fmt == "json":
-        return json.dumps(rounded, indent=2, ensure_ascii=False) + "\n"
-    rows = rounded["rows"]
-    columns = list(rows[0]) if rows else []
-    cells = [[_format_cell(row[column], precision) for column in columns] for row in rows]
-    if fmt == "csv":
-        buffer = io.StringIO()
-        csv.writer(buffer).writerows([columns, *cells])  # RFC-4180-style, CRLF endings
-        return buffer.getvalue()
-    return _render_table(rounded, columns, cells, precision)
+    """Render the payload with row values and float params rounded to the display precision.
 
-
-def _round_payload(payload: dict[str, Any], precision: int) -> dict[str, Any]:
-    """Round row values (and float params) to the display precision.
-
-    The report's embedded constants block is provenance and keeps full
-    precision.
+    The rows are dicts that share one key order; they are read column by
+    column and not copied.  The report's embedded constants block is
+    provenance and keeps full precision.
     """
-    result = dict(payload)
-    result["rows"] = [
-        {
-            key: (_round_float(value, precision) if key in _VALUE_KEYS else value)
-            for key, value in row.items()
-        }
-        for row in payload["rows"]
+    rows = payload["rows"]
+    names = list(rows[0]) if rows else []
+    if any(list(row) != names for row in rows):
+        raise ConsistencyError("output rows do not share one key order")
+    columns = [
+        [_round_float(row[name], precision) for row in rows]
+        if name in _VALUE_KEYS
+        else [row[name] for row in rows]
+        for name in names
     ]
+    # Without columns there is nothing to round, and no column to count the rows by.
+    rounded = {**payload, "rows": _Table(names, columns) if names else rows}
     if "params" in payload:
-        result["params"] = {
+        rounded["params"] = {
             key: _round_float(value, precision) for key, value in payload["params"].items()
         }
-    return result
+    if fmt == "json":
+        return _json(rounded) + "\n"
+    cells = list(zip(*([_format_cell(value, precision) for value in column] for column in columns)))
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([names, *cells])  # RFC-4180-style, CRLF endings
+        return buffer.getvalue()
+    return _render_table(rounded, names, cells, precision)
 
 
 def _round_float(value: Any, precision: int) -> Any:
@@ -362,6 +368,65 @@ def _round_float(value: Any, precision: int) -> Any:
             )
         return rounded
     return value
+
+
+def _json(value: Any, indent: str = "") -> str:
+    """value, with str keys, as json.dumps(value, indent=2, ensure_ascii=False) writes it.
+
+    The output is strict RFC 8259 JSON: NaN or an infinity anywhere is a
+    domain error.  A _Table is written as the list of its row dicts.
+    """
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DomainError(f"output value {value!r} is not finite; JSON has no encoding for it")
+        return float.__repr__(value)
+    if isinstance(value, _Table):
+        return _json_table(value, indent)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        opener, closer = "[", "]"
+    elif isinstance(value, dict):
+        items = [f"{encode_basestring(key)}: {_json(item, inner)}" for key, item in value.items()]
+        opener, closer = "{", "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return opener + closer
+    return f"{opener}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closer}"
+
+
+def _json_table(table: _Table, indent: str) -> str:
+    """The rows of a _Table as _json writes them, filled column by column into one template."""
+    row_indent = indent + "  "
+    field_indent = row_indent + "  "
+    fields = ",\n".join(
+        f"{field_indent}{encode_basestring(name).replace('%', '%%')}: %s" for name in table.names
+    )
+    template = f"{{\n{fields}\n{row_indent}}}"
+    encoded = [_json_column(column, field_indent) for column in table.columns]
+    rows = f",\n{row_indent}".join(map(template.__mod__, zip(*encoded)))
+    return f"[\n{row_indent}{rows}\n{indent}]"
+
+
+def _json_column(values: list[Any], indent: str) -> list[str]:
+    """_json of each value; a column of only str or only finite floats is encoded in one map."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(encode_basestring, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    return [_json(value, indent) for value in values]
 
 
 def _format_cell(value: Any, precision: int) -> str:

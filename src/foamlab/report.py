@@ -85,6 +85,9 @@ def build_claim_report(
     partitions: int = 1,
 ) -> ClaimReport:
     """Recompute every claim row; constants defaults to DEFAULT_CONSTANTS."""
+    # The identity batch below draws from the seed too, so check it first.
+    mc_config = McConfig(l=1.0, n_samples=samples, seed=seed, n_partitions=partitions)
+    mc_config.validate()
     law = UncertaintyLaw(constants)
     rows: list[ClaimRow] = []
 
@@ -163,9 +166,7 @@ def build_claim_report(
     )
 
     # Monte Carlo reproduction at l = 1 cm.
-    mc = verify_curvature_uncertainty(
-        McConfig(l=1.0, n_samples=samples, seed=seed, n_partitions=partitions), constants
-    )
+    mc = verify_curvature_uncertainty(mc_config, constants)
     variance_ratio = mc.empirical_variance / mc.sigma2
     add(
         "variance-ratio-mc",

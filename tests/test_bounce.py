@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from foamlab import bounce
 from foamlab.bounce import (
     BounceModel,
     estimator_response,
@@ -11,6 +12,7 @@ from foamlab.bounce import (
 )
 from foamlab.constants import default_constants
 from foamlab.errors import DomainError
+from foamlab.wigner import PulseTriplet, estimate_curvature
 
 C = default_constants().c
 
@@ -138,6 +140,73 @@ class TestRootFinder:
         assert C * 0.0 - mirror_separation(model, 0.0) < 0
         hi = 4.0 * half / C
         assert C * hi - mirror_separation(model, hi) > 0
+
+
+def reference_round_trips(model, n_pulses):
+    """The per-pulse loop with xi(t) and the gap evaluated afresh on every call.
+
+    simulate_round_trips resolves the model once per run; its times,
+    epochs and estimate must match this loop bit for bit.
+    """
+
+    def xi(t):
+        half = model.l / 2.0
+        if model.k > 0:
+            return half * math.cos(model.omega() * t)
+        if model.k < 0:
+            return half * math.cosh(model.omega() * t)
+        return half
+
+    def solve(t_emit):
+        def gap(u):
+            return C * u - xi(t_emit + u)
+
+        lo, hi = 0.0, 4.0 * (model.l / 2.0) / C
+        gap_lo, gap_hi = gap(lo), gap(hi)
+        assert gap_lo < 0.0 < gap_hi
+        for _ in range(bounce.MAX_ROOT_ITERATIONS):
+            u = hi - gap_hi * (hi - lo) / (gap_hi - gap_lo)
+            if not (lo < u < hi):
+                u = 0.5 * (lo + hi)
+            gap_u = gap(u)
+            if abs(gap_u) < bounce.ROOT_RESIDUAL_RTOL * model.l:
+                return u
+            if gap_u < 0.0:
+                lo, gap_lo = u, gap_u
+            else:
+                hi, gap_hi = u, gap_u
+        raise AssertionError("reference root did not converge")
+
+    times, epochs, epoch = [], [], 0.0
+    for _ in range(n_pulses):
+        epochs.append(epoch)
+        outbound = solve(epoch)
+        trip = outbound + xi(epoch + outbound) / C
+        times.append(trip)
+        epoch += trip
+    estimate = estimate_curvature(PulseTriplet(*times[:3]), model.constants)
+    return tuple(times), tuple(epochs), estimate
+
+
+class TestResolvedModel:
+    # l = 0.1 keeps 2,000 pulses at |K| = 4e-6 inside the window guard.
+    @pytest.mark.parametrize("k", [4e-6, -4e-6, 0.0, 1e-9])
+    @pytest.mark.parametrize("l, n_pulses", [(1.0, 3), (0.1, 2000)])
+    def test_matches_reference_loop_bit_for_bit(self, k, l, n_pulses):
+        model = BounceModel(k=k, l=l)
+        record = simulate_round_trips(model, n_pulses)
+        times, epochs, estimate = reference_round_trips(model, n_pulses)
+        assert record.times == times
+        assert record.emission_epochs == epochs
+        assert record.estimated_curvature == estimate
+
+    def test_non_convergence_is_domain_error(self, monkeypatch):
+        monkeypatch.setattr(bounce, "MAX_ROOT_ITERATIONS", 1)
+        model = BounceModel(k=4e-6, l=1.0)
+        with pytest.raises(DomainError, match="did not converge within 1 iterations"):
+            simulate_round_trips(model, 3)
+        with pytest.raises(DomainError, match="did not converge within 1 iterations"):
+            solve_outbound(model, 0.0)
 
 
 class TestEstimatorResponse:

@@ -11,6 +11,9 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from foamlab.cli import _VALUE_KEYS, _json, _render, _round_float
+from foamlab.errors import ConsistencyError, DomainError
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCHEMA = json.loads((REPO_ROOT / "schemas" / "cli_output.schema.json").read_text())
@@ -85,6 +88,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("length", ["1e-300", "1e-200", "1e300"])
     def test_unrepresentable_mc_length_is_domain_error(self, run_cli, length):
         code, out, err = run_cli(["mc", "--length", length, "--samples", "1000", "--seed", "1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("foamlab: error:") and err.count("\n") == 1
+
+    def test_negative_report_seed_is_domain_error(self, run_cli):
+        code, out, err = run_cli(["report", "--seed", "-3"])
         assert code == 1
         assert out == ""
         assert err.startswith("foamlab: error:") and err.count("\n") == 1
@@ -267,6 +276,120 @@ class TestWholeRange:
             payload = json.loads(out)
             assert json.loads(json.dumps(payload, allow_nan=False)) == payload
             jsonschema.validate(payload, SCHEMA)
+
+
+# JSON leaves at the edges of json.dumps: escapes, line separators, signed
+# zero, subnormals, huge doubles and ints beyond 64 bits.
+json_texts = st.text() | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u2028\u2029", "é ✓ 𝔊", "%s %"]
+)
+json_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1.7e308]
+)
+json_ints = st.integers() | st.sampled_from([2**64, 2**64 + 1, -(2**70)])
+json_leaves = st.none() | st.booleans() | json_ints | json_floats | json_texts
+column_values = st.sampled_from(
+    [
+        json_floats, json_texts, st.booleans(), json_ints, st.none(),
+        json_floats | json_ints, json_floats | st.none(), json_leaves,
+    ]
+)
+
+
+@st.composite
+def row_lists(draw):
+    """Dicts over one key set: one key order or shuffled, one type per column or mixed."""
+    names = draw(st.lists(json_texts, min_size=1, max_size=4, unique=True))
+    columns = {name: draw(column_values) for name in names}
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(names)) if draw(st.booleans()) else names
+        rows.append({name: draw(columns[name]) for name in order})
+    return rows
+
+
+json_values = st.recursive(
+    json_leaves | row_lists(),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(json_texts, children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+class TestJsonWriter:
+    """The writer emits json.dumps(indent=2, ensure_ascii=False) byte for byte, strictly."""
+
+    @given(value=json_values)
+    @example(value={})
+    @example(value=[])
+    @example(value=[{}, {}])
+    @example(value=[[True, False], {"a": None}])
+    def test_matches_json_dumps(self, value):
+        assert _json(value) == dumps(value)
+
+    @given(
+        names=st.lists(
+            json_texts.filter(lambda name: name not in _VALUE_KEYS), max_size=4, unique=True
+        ),
+        data=st.data(),
+        precision=st.integers(1, 17),
+    )
+    def test_rendered_row_table_matches_json_dumps(self, names, data, precision):
+        # A value column is rounded in the same pass; the reference rounds a copy of each row.
+        columns = {name: data.draw(column_values) for name in names}
+        columns["value"] = st.floats(-1e300, 1e300) | st.text(max_size=3) | st.none()
+        rows = [
+            {name: data.draw(strategy) for name, strategy in columns.items()}
+            for _ in range(data.draw(st.integers(0, 6)))
+        ]
+        params = data.draw(st.dictionaries(json_texts, st.floats(-1e300, 1e300) | json_ints))
+        payload = {"command": "rows", "params": params, "rows": rows, "warnings": ["w"]}
+        expected = {
+            **payload,
+            "params": {key: _round_float(value, precision) for key, value in params.items()},
+            "rows": [
+                {
+                    key: _round_float(value, precision) if key == "value" else value
+                    for key, value in row.items()
+                }
+                for row in rows
+            ],
+        }
+        assert _render(payload, "json", precision) == dumps(expected) + "\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # full-precision provenance, never rounded
+            {"command": "report", "constants": {"c": [1.0, math.nan]}, "rows": [], "warnings": []},
+            # a float column that is not a value column
+            {
+                "command": "bounce",
+                "rows": [
+                    {"quantity": "t_1", "value": 1.0, "bound": 2.0},
+                    {"quantity": "t_2", "value": 1.0, "bound": math.inf},
+                ],
+                "warnings": [],
+            },
+            {"command": "x", "rows": [], "warnings": [], "extra": (-math.inf,)},
+        ],
+        ids=["nested_nan", "inf_column", "minus_inf"],
+    )
+    def test_non_finite_output_is_domain_error(self, payload):
+        with pytest.raises(DomainError, match="not finite"):
+            _render(payload, "json", 6)
+
+    def test_rows_must_share_one_key_order(self):
+        payload = {"command": "x", "rows": [{"a": 1, "b": 2}, {"b": 2, "a": 1}], "warnings": []}
+        with pytest.raises(ConsistencyError, match="key order"):
+            _render(payload, "json", 6)
 
 
 class TestDeterminism:

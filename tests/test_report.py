@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from foamlab.errors import DomainError
 from foamlab.report import (
     _IDENTITY_BATCH_KEY,
     _IDENTITY_BATCH_SIZE,
@@ -92,6 +93,12 @@ def test_seed_changes_monte_carlo_rows(report):
         other_rows["second-difference-coefficient"].computed_value
         == rows["second-difference-coefficient"].computed_value
     )
+
+
+def test_negative_seed_is_domain_error():
+    # The identity batch draws from the seed before the Monte Carlo run does.
+    with pytest.raises(DomainError, match="seed"):
+        build_claim_report(seed=-3)
 
 
 def reference_max_identity_gap(seed):
