@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
 from dataclasses import asdict
 from json.encoder import encode_basestring
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
 from .constants import DEFAULT_CONSTANTS, load_constants, validate_constants
@@ -110,7 +111,9 @@ def _command(
     return enter
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The foamlab parser, built on the first call and reused: a parse leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="foamlab",
         description="cube-root space-time measurement uncertainty toolkit (CGS units)",
@@ -137,9 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
@@ -160,13 +162,13 @@ def run() -> None:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes the parsed arguments and returns a payload
-# dict with a "rows" table
+# dict with a "rows" table, a _Table or a list of row dicts
 
 
 def _payload(
-    args: argparse.Namespace, rows: list[tuple], warnings: list[str], params: dict | None = None
+    args: argparse.Namespace, columns: Iterable, warnings: list[str], params: dict | None = None
 ) -> dict[str, Any]:
-    """The payload of (quantity, value, unit, status) rows.
+    """The payload of a (quantity, value, unit, status) table, given column by column.
 
     params default to the command's options in table order, each quantity
     option followed by its unit as `<option>_unit`.
@@ -180,10 +182,7 @@ def _payload(
     return {
         "command": args.command,
         "params": params,
-        "rows": [
-            {"quantity": quantity, "value": value, "unit": unit, "status": status}
-            for quantity, value, unit, status in rows
-        ],
+        "rows": _Table(["quantity", "value", "unit", "status"], list(columns)),
         "warnings": warnings,
     }
 
@@ -230,13 +229,13 @@ def _cmd_uncertainty(args: argparse.Namespace) -> dict[str, Any]:
     unit = _QUANTITIES[kind][1]
     params = {"kind": kind, "input": value, "input_unit": unit}
     rows = [(f"delta_{kind}", delta, unit, "closed-form")]
-    return _payload(args, rows, _sub_planck(kind, value), params)
+    return _payload(args, zip(*rows), _sub_planck(kind, value), params)
 
 
 @_command("clock-mass", "optimal clock mass for a length measurement", length=_quantity("length"))
 def _cmd_clock_mass(args: argparse.Namespace) -> dict[str, Any]:
     rows = [("clock_mass", _LAW.clock_mass(args.length), "g", "closed-form")]
-    return _payload(args, rows, _sub_planck("length", args.length))
+    return _payload(args, zip(*rows), _sub_planck("length", args.length))
 
 
 @_command("fluct", "curvature / Riemann-scalar / density fluctuations", length=_quantity("length"))
@@ -250,7 +249,7 @@ def _cmd_fluct(args: argparse.Namespace) -> dict[str, Any]:
         ("delta_r", profile.delta_r, "1/cm2", "order-of-magnitude"),
         ("delta_rho", profile.delta_rho, "g/cm3", "order-of-magnitude"),
     ]
-    return _payload(args, rows, warnings)
+    return _payload(args, zip(*rows), warnings)
 
 
 @_command(
@@ -259,7 +258,7 @@ def _cmd_fluct(args: argparse.Namespace) -> dict[str, Any]:
 )
 def _cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
     max_length = _LAW.max_length_for_density(args.density)
-    return _payload(args, [("max_length", max_length, "cm", "order-of-magnitude")], [])
+    return _payload(args, zip(*[("max_length", max_length, "cm", "order-of-magnitude")]), [])
 
 
 @_command(
@@ -279,7 +278,7 @@ def _cmd_mc(args: argparse.Namespace) -> dict[str, Any]:
         ("empirical_delta_c", result.empirical_delta_c, "1/cm", "empirical"),
         ("closed_form_delta_c", result.closed_form_delta_c, "1/cm", "closed-form"),
     ]
-    return _payload(args, rows, [])
+    return _payload(args, zip(*rows), [])
 
 
 @_command(
@@ -289,12 +288,17 @@ def _cmd_mc(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_bounce(args: argparse.Namespace) -> dict[str, Any]:
     model = bounce.BounceModel(k=args.curvature, l=args.separation)
     record = bounce.simulate_round_trips(model, args.pulses)
-    rows = []
-    for index, (trip, epoch) in enumerate(zip(record.times, record.emission_epochs), start=1):
-        rows.append((f"t_{index}", trip, "s", "simulated"))
-        rows.append((f"epoch_{index}", epoch, "s", "simulated"))
-    rows.append(("estimated_curvature", record.estimated_curvature, "1/cm", "estimated"))
-    return _payload(args, rows, ["toy model: the 1/11 estimator normalization is not reproduced"])
+    # t_i and epoch_i rows alternate, then the estimate closes the table.
+    quantities = [name for i in range(1, args.pulses + 1) for name in (f"t_{i}", f"epoch_{i}")]
+    values = [value for pair in zip(record.times, record.emission_epochs) for value in pair]
+    columns = [
+        quantities + ["estimated_curvature"],
+        values + [record.estimated_curvature],
+        ["s"] * len(values) + ["1/cm"],
+        ["simulated"] * len(values) + ["estimated"],
+    ]
+    warning = "toy model: the 1/11 estimator normalization is not reproduced"
+    return _payload(args, columns, [warning])
 
 
 @_command(
@@ -310,47 +314,84 @@ def _cmd_report(args: argparse.Namespace) -> dict[str, Any]:
 # rendering
 
 _VALUE_KEYS = ("value", "computed_value")
+_MIN_NORMAL = sys.float_info.min
 
 
 class _Table:
-    """Row dicts that share one key order, held column by column."""
+    """A row table held column by column: names[i] heads columns[i]."""
 
-    def __init__(self, names: list[str], columns: list[list[Any]]) -> None:
+    def __init__(self, names: list[str], columns: list[Sequence[Any]]) -> None:
         self.names = names
         self.columns = columns
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[dict[str, Any]]) -> _Table:
+        """The table of row dicts, which must share one key order."""
+        names = list(rows[0]) if rows else []
+        if any(list(row) != names for row in rows):
+            raise ConsistencyError("output rows do not share one key order")
+        return cls(names, [[row[name] for row in rows] for name in names])
+
+
+class _Json(str):
+    """Text that _json writes as it stands: a value already encoded."""
 
 
 def _render(payload: dict[str, Any], fmt: str, precision: int) -> str:
     """Render the payload with row values and float params rounded to the display precision.
 
-    The rows are dicts that share one key order; they are read column by
-    column and not copied.  The report's embedded constants block is
-    provenance and keeps full precision.
+    The rows (a _Table, or row dicts read into one) become the cells of fmt
+    column by column.  The report's constants block keeps full precision.
     """
     rows = payload["rows"]
-    names = list(rows[0]) if rows else []
-    if any(list(row) != names for row in rows):
-        raise ConsistencyError("output rows do not share one key order")
+    table = rows if isinstance(rows, _Table) else _Table.from_rows(rows)
     columns = [
-        [_round_float(row[name], precision) for row in rows]
-        if name in _VALUE_KEYS
-        else [row[name] for row in rows]
-        for name in names
+        _cells(column, fmt, precision, rounded=name in _VALUE_KEYS)
+        for name, column in zip(table.names, table.columns)
     ]
-    # Without columns there is nothing to round, and no column to count the rows by.
-    rounded = {**payload, "rows": _Table(names, columns) if names else rows}
+    rendered = {**payload, "rows": _Table(table.names, columns)}
     if "params" in payload:
-        rounded["params"] = {
-            key: _round_float(value, precision) for key, value in payload["params"].items()
-        }
+        params = payload["params"]
+        cells = _cells(list(params.values()), fmt, precision, rounded=True)
+        rendered["params"] = dict(zip(params, map(_Json, cells)))
     if fmt == "json":
-        return _json(rounded) + "\n"
-    cells = list(zip(*([_format_cell(value, precision) for value in column] for column in columns)))
+        return _json(rendered) + "\n"
     if fmt == "csv":
-        buffer = io.StringIO()
-        csv.writer(buffer).writerows([names, *cells])  # RFC-4180-style, CRLF endings
+        buffer = io.StringIO()  # RFC-4180-style, CRLF endings
+        csv.writer(buffer).writerows([table.names, *zip(*columns)])
         return buffer.getvalue()
-    return _render_table(rounded, names, cells, precision)
+    return _render_table(rendered, precision)
+
+
+def _cells(values: Sequence[Any], fmt: str, precision: int, rounded: bool) -> list[str]:
+    """The cells for fmt of a column of leaf values, its floats rounded to the precision if rounded.
+
+    A rounded float is formatted once: at precision <= 15 a zero or normal
+    float below 1e308 keeps its digits through the rounded double, so
+    f"{v:.{precision}g}" is the table/CSV cell and, but for repr's ".0" and
+    fixed notation below e+16, the JSON text.  Any other value goes through
+    _round_float, which keeps its DomainError.
+    """
+    json = fmt == "json"
+    if set(map(type, values)) == {str}:
+        return list(map(encode_basestring, values)) if json else list(values)
+    once, spec = rounded and precision <= 15, f".{precision}g"
+    cells = []
+    for value in values:
+        if once and isinstance(value, float) and (_MIN_NORMAL <= abs(value) < 1e308 or not value):
+            cell = format(value, spec)
+            if json and "e" not in cell and "." not in cell:
+                cell += ".0"
+            elif json and "e+" in cell and int(cell.split("e+")[1]) < 16:
+                cell = float.__repr__(float(cell))
+        else:
+            value = _round_float(value, precision) if rounded else value
+            if json:
+                cell = _json(value)
+            else:
+                cell = format(value, spec) if isinstance(value, float) else str(value)
+        cells.append(cell)
+    return cells
 
 
 def _round_float(value: Any, precision: int) -> Any:
@@ -374,10 +415,11 @@ def _json(value: Any, indent: str = "") -> str:
     """value, with str keys, as json.dumps(value, indent=2, ensure_ascii=False) writes it.
 
     The output is strict RFC 8259 JSON: NaN or an infinity anywhere is a
-    domain error.  A _Table is written as the list of its row dicts.
+    domain error.  A _Json text is written as it stands, and a _Table of
+    them as the list of its row dicts.
     """
     if isinstance(value, str):
-        return encode_basestring(value)
+        return value if isinstance(value, _Json) else encode_basestring(value)
     if value is None:
         return "null"
     if value is True:
@@ -407,52 +449,37 @@ def _json(value: Any, indent: str = "") -> str:
 
 
 def _json_table(table: _Table, indent: str) -> str:
-    """The rows of a _Table as _json writes them, filled column by column into one template."""
-    row_indent = indent + "  "
-    field_indent = row_indent + "  "
-    fields = ",\n".join(
-        f"{field_indent}{encode_basestring(name).replace('%', '%%')}: %s" for name in table.names
-    )
-    template = f"{{\n{fields}\n{row_indent}}}"
-    encoded = [_json_column(column, field_indent) for column in table.columns]
-    rows = f",\n{row_indent}".join(map(template.__mod__, zip(*encoded)))
-    return f"[\n{row_indent}{rows}\n{indent}]"
+    """The rows of a _Table of JSON texts as _json writes row dicts at indent, joined once."""
+    if not table.columns or not table.columns[0]:
+        return "[]"
+    row, count = indent + "  ", len(table.columns[0])
+    keys = [f"{row}  {encode_basestring(name)}: " for name in table.names]
+    width = 2 * len(keys)
+    parts = [""] * (width * count)
+    for field, (key, column) in enumerate(zip(keys, table.columns)):
+        # A row's first key closes the row before it and opens its own.
+        opening = f",\n{key}" if field else f"\n{row}}},\n{row}{{\n{key}"
+        parts[2 * field :: width] = [opening] * count
+        parts[2 * field + 1 :: width] = column
+    parts[0] = f"[\n{row}{{\n{keys[0]}"
+    return "".join(parts) + f"\n{row}}}\n{indent}]"
 
 
-def _json_column(values: list[Any], indent: str) -> list[str]:
-    """_json of each value; a column of only str or only finite floats is encoded in one map."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(encode_basestring, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    return [_json(value, indent) for value in values]
-
-
-def _format_cell(value: Any, precision: int) -> str:
-    if isinstance(value, float):
-        return f"{value:.{precision}g}"
-    return str(value)
-
-
-def _render_table(
-    payload: dict[str, Any], columns: list[str], cells: list[list[str]], precision: int
-) -> str:
+def _render_table(payload: dict[str, Any], precision: int) -> str:
     lines: list[str] = []
     for key, value in payload.items():
-        if key in ("rows", "command"):
-            continue
-        if isinstance(value, dict):
-            for sub_key, sub_value in value.items():
-                lines.append(f"{sub_key}: {_format_cell(sub_value, precision)}")
-        elif isinstance(value, list):
+        if isinstance(value, list):
             lines.extend(f"{key.rstrip('s')}: {item}" for item in value)
-        else:
-            lines.append(f"{key}: {_format_cell(value, precision)}")
-    if cells:
-        widths = [max(map(len, column)) for column in zip(columns, *cells)]
+        elif key not in ("rows", "command"):
+            fields = value if isinstance(value, dict) else {key: value}
+            cells = _cells(list(fields.values()), "table", precision, rounded=False)
+            lines.extend(f"{name}: {cell}" for name, cell in zip(fields, cells))
+    names, columns = payload["rows"].names, payload["rows"].columns
+    if columns and columns[0]:
+        widths = [max(len(name), *map(len, column)) for name, column in zip(names, columns)]
+        template = "  ".join(f"%-{width}s" for width in widths)
         if lines:
             lines.append("")
-        for line in (columns, ["-" * width for width in widths], *cells):
-            lines.append("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
+        for row in (names, ["-" * width for width in widths], *zip(*columns)):
+            lines.append((template % tuple(row)).rstrip())
     return "\n".join(lines) + "\n"

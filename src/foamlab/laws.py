@@ -72,7 +72,8 @@ class UncertaintyLaw:
         require_positive_finite("rho_max", rho_max)
         cs = self.constants
         scale = (cs.hbar / cs.c) * cs.l_planck ** (-2.0 / 3.0)
-        return (scale / rho_max) ** 0.3
+        # Powered apart, so no subnormal quotient scale / rho_max loses digits near 1e308.
+        return scale**0.3 * rho_max**-0.3
 
     def sub_planck_length(self, l: Length) -> bool:
         """True when l sits below the Planck length (warning territory)."""

@@ -11,7 +11,8 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from foamlab.cli import _VALUE_KEYS, _json, _render, _round_float
+from foamlab import bounce
+from foamlab.cli import _VALUE_KEYS, _json, _render, _round_float, build_parser
 from foamlab.errors import ConsistencyError, DomainError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -390,6 +391,139 @@ class TestJsonWriter:
         payload = {"command": "x", "rows": [{"a": 1, "b": 2}, {"b": 2, "a": 1}], "warnings": []}
         with pytest.raises(ConsistencyError, match="key order"):
             _render(payload, "json", 6)
+
+
+def format_cell(value, precision: int) -> str:
+    """A table/CSV cell as the row-dict render path wrote it."""
+    return f"{value:.{precision}g}" if isinstance(value, float) else str(value)
+
+
+# Normal, subnormal, signed-zero and near-maximum doubles.
+cell_floats = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(-2.3e-308, 2.3e-308)
+    | st.floats(1e307, 1.7976931348623157e308)
+    | st.floats(-1.7976931348623157e308, -1e307)
+    | st.sampled_from([0.0, -0.0, 5e-324, 1.04e-322, 2.2250738585072014e-308, 1e16, 9.5e307])
+)
+
+
+class TestFormatOnce:
+    """A rounded float is formatted once, into the bytes that rounding and then formatting give."""
+
+    @staticmethod
+    def rendered(values, fmt: str, precision: int) -> str:
+        payload = {"command": "x", "rows": [{"value": value} for value in values], "warnings": []}
+        return _render(payload, fmt, precision)
+
+    @given(values=st.lists(cell_floats, min_size=1, max_size=8), precision=st.integers(1, 17))
+    @example(values=[1.04e-322], precision=2)
+    @example(values=[0.0, -0.0], precision=6)
+    @example(values=[1234567.0, 1e16], precision=6)
+    @example(values=[1e15, -1.5e15], precision=2)
+    @example(values=[1.7e308], precision=1)
+    def test_matches_round_then_format(self, values, precision):
+        try:
+            rounded = [_round_float(value, precision) for value in values]
+        except DomainError:
+            for fmt in ("json", "table", "csv"):
+                with pytest.raises(DomainError, match="not finite"):
+                    self.rendered(values, fmt, precision)
+            return
+        rows = [{"value": value} for value in rounded]
+        expected_json = dumps({"command": "x", "rows": rows, "warnings": []}) + "\n"
+        assert self.rendered(values, "json", precision) == expected_json
+        cells = [format_cell(value, precision) for value in rounded]
+        assert self.rendered(values, "csv", precision) == "".join(
+            f"{line}\r\n" for line in ["value", *cells]
+        )
+        assert self.rendered(values, "table", precision).splitlines()[2:] == cells
+
+    @pytest.mark.parametrize(
+        "value, precision, json_text, cell",
+        [
+            (1.04e-322, 2, "1e-322", "9.9e-323"),
+            (0.0, 6, "0.0", "0"),
+            (-0.0, 6, "-0.0", "-0"),
+            (1234567.0, 6, "1234570.0", "1.23457e+06"),
+            (1e16, 6, "1e+16", "1e+16"),
+        ],
+    )
+    def test_pinned_cells(self, value, precision, json_text, cell):
+        assert f'"value": {json_text}\n' in self.rendered([value], "json", precision)
+        assert self.rendered([value], "csv", precision) == f"value\r\n{cell}\r\n"
+        assert self.rendered([value], "table", precision).splitlines()[-1] == cell
+
+
+def reference_bounce_render(k: float, l: float, n_pulses: int, fmt: str, precision: int = 6) -> str:
+    """A `bounce` payload as row dicts, rendered as the CLI did before tables were columns."""
+    record = bounce.simulate_round_trips(bounce.BounceModel(k=k, l=l), n_pulses)
+    rows = []
+    for index, (trip, epoch) in enumerate(zip(record.times, record.emission_epochs), start=1):
+        rows.append({"quantity": f"t_{index}", "value": trip, "unit": "s", "status": "simulated"})
+        rows.append(
+            {"quantity": f"epoch_{index}", "value": epoch, "unit": "s", "status": "simulated"}
+        )
+    rows.append(
+        {
+            "quantity": "estimated_curvature", "value": record.estimated_curvature,
+            "unit": "1/cm", "status": "estimated",
+        }
+    )
+    params = {
+        "curvature": k, "curvature_unit": "1/cm2", "separation": l, "separation_unit": "cm",
+        "pulses": n_pulses,
+    }
+    payload = {
+        "command": "bounce",
+        "params": {key: _round_float(value, precision) for key, value in params.items()},
+        "rows": [
+            {key: _round_float(v, precision) if key in _VALUE_KEYS else v for key, v in row.items()}
+            for row in rows
+        ],
+        "warnings": ["toy model: the 1/11 estimator normalization is not reproduced"],
+    }
+    if fmt == "json":
+        return dumps(payload) + "\n"
+    names = list(rows[0])
+    cells = [[format_cell(row[name], precision) for name in names] for row in payload["rows"]]
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([names, *cells])
+        return buffer.getvalue()
+    lines = [f"{key}: {format_cell(value, precision)}" for key, value in payload["params"].items()]
+    lines += [f"warning: {warning}" for warning in payload["warnings"]]
+    widths = [max(map(len, column)) for column in zip(names, *cells)]
+    lines.append("")
+    for line in (names, ["-" * width for width in widths], *cells):
+        lines.append("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+class TestLongTable:
+    """A long bounce table renders byte for byte as the row-dict path rendered it."""
+
+    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+    def test_matches_row_dict_render(self, run_cli, fmt):
+        code, out, err = run_cli(
+            ["bounce", "--curvature", "1e-9", "--separation", "1cm", "--pulses", "2000",
+             "--format", fmt]
+        )
+        assert (code, err) == (0, "")
+        assert out == reference_bounce_render(1e-9, 1.0, 2000, fmt)
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_a_fresh_parser(self, run_cli):
+        calls = [["uncertainty", "--bogus"], ["--version"], ["clock-mass", "--length", "1cm"]]
+        assert build_parser() is build_parser()
+        reused = [run_cli(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run_cli(argv))
+        assert [code for code, _, _ in reused] == [2, 0, 0]
+        assert reused == fresh
 
 
 class TestDeterminism:

@@ -1,5 +1,8 @@
+import importlib.util
 import math
 import operator
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -16,6 +19,20 @@ DELTA_T_1S = 1.4271165960353683e-29
 CLOCK_MASS_1CM = 1854565.9169408667
 CLOCK_MASS_LIGHT_SECOND = 5761286646.320204
 MAX_LENGTH_1E29 = 10523.850254061477
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, whose log-space CODATA references the benchmark checks against."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations through sys.modules
+    spec.loader.exec_module(module)
+    return module
+
+
+# ln(max_length) as a function of ln(rho_max), with no intermediate that can underflow.
+LN_MAX_LENGTH = _benchmark_workloads()._SWEEP_QUERIES[("threshold", "--density")]["max_length"]
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +102,22 @@ def test_max_length_for_density_values(law):
     assert law.max_length_for_density(1e-29) == pytest.approx(MAX_LENGTH_1E29, rel=1e-12)
     # "order of water density" pairing at l ~ 1e-5 cm
     assert law.max_length_for_density(11.86) == pytest.approx(1e-5, rel=2e-3)
+
+
+@given(
+    rho=st.floats(math.log10(5e-324), math.log10(1.7e308)).map(
+        lambda exponent: max(10.0**exponent, 5e-324)
+    )
+)
+@example(rho=5e-324)
+@example(rho=1e292)
+@example(rho=1e305)
+@example(rho=1.7e308)
+def test_max_length_for_density_whole_range(rho):
+    # (scale / rho) ** 0.3 went subnormal above rho ~ 1e292 and printed 0.0 at 1.7e308.
+    law = UncertaintyLaw()
+    reference = math.exp(LN_MAX_LENGTH(math.log(rho)))
+    assert abs(law.max_length_for_density(rho) / reference - 1.0) < 1e-12
 
 
 @given(l=st.floats(min_value=1e-8, max_value=1e8, allow_nan=False, allow_infinity=False))
