@@ -36,6 +36,12 @@ number of blocks), with no pool at all for one worker.  It never changes
 what is drawn or the merge order, so results are bit-identical across
 partition counts.  Block keys stay below the report's batch key 1_000_003
 (report._max_identity_gap) for n_samples below about 1e12.
+
+Overlap: a caller may pass independent work as `alongside`, which runs on
+the calling thread while one helper thread computes the blocks (through
+the pool, with more than one worker); the report checks its identity batch
+this way.  Worker threads call only private helpers and NumPy, and every
+public call stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +85,10 @@ Moments = tuple[int, float, float]
 class McConfig:
     """Sampling parameters for one verification run.
 
-    n_partitions caps the worker threads; results do not depend on it.
+    n_partitions caps the block worker threads; results do not depend on
+    it.  With one worker the blocks run on the calling thread, unless the
+    call passes `alongside` work, when they run on one helper thread
+    beside it.
     """
 
     l: Length
@@ -138,6 +149,8 @@ def verify_curvature_uncertainty(
     config: McConfig,
     constants: ConstantSet = DEFAULT_CONSTANTS,
     cov_override: TripletCovariance | None = None,
+    *,
+    alongside: Callable[[], None] | None = None,
 ) -> McResult:
     """Empirically reproduce the closed-form curvature noise at config.l.
 
@@ -148,6 +161,12 @@ def verify_curvature_uncertainty(
     sqrt(Var) * c / (11 l^2).  A delta_C that is not a normal double at
     config.l, or a covariance whose second difference has no variance,
     raises DomainError.  constants defaults to DEFAULT_CONSTANTS.
+
+    alongside, if given, is called once on the calling thread while the
+    blocks compute on one helper thread (which runs the pool, if there is
+    one), so independent NumPy work overlaps the sampling on a second core.
+    An exception from either side is raised here once every thread has
+    joined.
     """
     config.validate()
     cov = cov_override if cov_override is not None else ngvandam_covariance(config.l, constants)
@@ -163,15 +182,19 @@ def verify_curvature_uncertainty(
     block = functools.partial(_block_moments, config.seed, _psd_factor(cov).T @ SECOND_DIFFERENCE)
     n = config.n_samples
     sizes = [min(BLOCK_ROWS, n - start) for start in range(0, n, BLOCK_ROWS)]
+    indices = range(len(sizes))
     workers = min(config.n_partitions, os.cpu_count() or 1, len(sizes))
-    if workers == 1:
-        moments = list(map(block, range(len(sizes)), sizes))
-    else:
+
+    def run() -> list[Moments]:
+        if workers == 1:
+            return list(map(block, indices, sizes))
         # Imported here, not at module level: it adds ~8 ms to every CLI start.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            moments = list(pool.map(block, range(len(sizes)), sizes))
+            return list(pool.map(block, indices, sizes))
+
+    moments = run() if alongside is None else _beside(alongside, run)
     count, _, m2 = functools.reduce(_combine, moments)
 
     empirical_variance = m2 / (count - 1)
@@ -191,6 +214,31 @@ def verify_curvature_uncertainty(
         closed_form_delta_c=closed_form_delta_c,
         sigma2=cov.sigma2,
     )
+
+
+def _beside(alongside: Callable[[], None], work: Callable[[], list[Moments]]) -> list[Moments]:
+    """Run work() on one helper thread while alongside() runs on this one.
+
+    The thread is joined before anything is raised; an error in alongside
+    wins over one in work.
+    """
+    outcome: list = []
+
+    def run() -> None:
+        try:
+            outcome.append(work())
+        except BaseException as error:
+            outcome.append(error)
+
+    helper = threading.Thread(target=run, name="foamlab-mc-blocks")
+    helper.start()
+    try:
+        alongside()
+    finally:
+        helper.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
 
 
 def _block_moments(seed: int, projection: np.ndarray, index: int, rows: int) -> Moments:

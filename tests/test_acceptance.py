@@ -62,7 +62,7 @@ def test_c01_clock_mass_1cm(run_cli, law, report_rows):
     code, out, _ = run_cli(["clock-mass", "--length", "1cm", "--format", "json"])
     assert code == 0
     value = json.loads(out)["rows"][0]["value"]
-    assert value == pytest.approx(1.854e6, rel=0.005)
+    assert value == pytest.approx(1.854e6, rel=0.005, abs=0)
     row = report_rows["clock-mass-1cm"]
     assert row.status == "reproduced"
     assert "1e6" in row.published_value
@@ -75,7 +75,7 @@ def test_c02_clock_mass_discrepancy(run_cli, law, report_rows):
     code, out, _ = run_cli(["clock-mass", "--length", "2.998e10cm", "--format", "json"])
     assert code == 0
     value = json.loads(out)["rows"][0]["value"]
-    assert value == pytest.approx(5.76e9, rel=0.005)
+    assert value == pytest.approx(5.76e9, rel=0.005, abs=0)
     row = report_rows["clock-mass-1s"]
     assert row.status == "unreproduced"
     assert "1e16" in row.published_value
@@ -136,9 +136,9 @@ def test_c05_monte_carlo_reproduction(run_cli):
     assert code == 0
     rows = {row["quantity"]: row["value"] for row in json.loads(out)["rows"]}
     ratio = rows["variance_ratio_empirical"]
-    assert ratio == pytest.approx(7.5557, rel=0.01)
-    assert rows["empirical_delta_c"] == pytest.approx(3.441e-23, rel=0.01)
-    assert rows["empirical_delta_c"] == pytest.approx(rows["closed_form_delta_c"], rel=0.01)
+    assert ratio == pytest.approx(7.5557, rel=0.01, abs=0)
+    assert rows["empirical_delta_c"] == pytest.approx(3.441e-23, rel=0.01, abs=0)
+    assert rows["empirical_delta_c"] == pytest.approx(rows["closed_form_delta_c"], rel=0.01, abs=0)
     assert elapsed < 30.0
     print(f"[PASS] c05 MC ratio {ratio:.5f} vs 7.5557, delta_C within 1% ({elapsed:.2f} s)")
 
@@ -163,7 +163,7 @@ def test_c07_water_density_claim(run_cli, report_rows):
     assert code == 0
     rows = {row["quantity"]: row for row in json.loads(out)["rows"]}
     value = rows["delta_rho"]["value"]
-    assert value == pytest.approx(11.86, rel=0.01)
+    assert value == pytest.approx(11.86, rel=0.01, abs=0)
     assert report_rows["water-density"].status == "reproduced"
     print(f"[PASS] c07 delta_rho(1e-5 cm) = {value:.4f} g/cm3, reproduced")
 
@@ -172,7 +172,7 @@ def test_c08_threshold_claim(run_cli, law):
     code, out, _ = run_cli(["threshold", "--density", "1e-29g/cm3", "--format", "json"])
     assert code == 0
     value = json.loads(out)["rows"][0]["value"]
-    assert value == pytest.approx(1.052e4, rel=0.005)
+    assert value == pytest.approx(1.052e4, rel=0.005, abs=0)
     worst = max(
         abs(law.max_length_for_density(density_fluctuation(l)) / l - 1.0)
         for l in np.logspace(-8, 8, 161)
@@ -207,7 +207,7 @@ def test_c10_bounce_simulator():
     large = bounce.simulate_round_trips(bounce.BounceModel(k=4e-6, l=2.0, constants=cs), 3)
     second = lambda ts: ts[0] - 2 * ts[1] + ts[2]
     ratio = second(large.times) / second(small.times)
-    assert ratio == pytest.approx(8.0, rel=0.01)
+    assert ratio == pytest.approx(8.0, rel=0.01, abs=0)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(

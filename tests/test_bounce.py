@@ -66,7 +66,7 @@ class TestRoundTrips:
     def test_flat_space_trips_are_exact(self):
         record = simulate_round_trips(BounceModel(k=0.0, l=1.0), 5)
         for trip in record.times:
-            assert trip == pytest.approx(1.0 / C, rel=1e-12)
+            assert trip == pytest.approx(1.0 / C, rel=1e-12, abs=0)
         assert abs(record.estimated_curvature) < 1e-10 / 1.0
 
     def test_epochs_are_cumulative(self):
@@ -91,19 +91,19 @@ class TestRoundTrips:
     def test_second_difference_tracks_minus_k_l_cubed(self):
         k = 4e-6
         record = simulate_round_trips(BounceModel(k=k, l=1.0), 3)
-        assert second_difference(record.times) == pytest.approx(-k * 1.0**3 / C, rel=1e-3)
+        assert second_difference(record.times) == pytest.approx(-k * 1.0**3 / C, rel=1e-3, abs=0)
 
     def test_halving_curvature_halves_second_difference(self):
         full = simulate_round_trips(BounceModel(k=8e-6, l=1.0), 3)
         half = simulate_round_trips(BounceModel(k=4e-6, l=1.0), 3)
         ratio = second_difference(full.times) / second_difference(half.times)
-        assert ratio == pytest.approx(2.0, rel=0.01)
+        assert ratio == pytest.approx(2.0, rel=0.01, abs=0)
 
     def test_doubling_separation_scales_by_eight(self):
         small = simulate_round_trips(BounceModel(k=4e-6, l=1.0), 3)
         large = simulate_round_trips(BounceModel(k=4e-6, l=2.0), 3)
         ratio = second_difference(large.times) / second_difference(small.times)
-        assert ratio == pytest.approx(8.0, rel=0.01)
+        assert ratio == pytest.approx(8.0, rel=0.01, abs=0)
 
     def test_sign_flip_antisymmetry(self):
         # The model has a genuine O(K^2) even term (~31.7 |K| (l/2)^2
@@ -219,7 +219,7 @@ class TestEstimatorResponse:
         grid = [4e-6 * 10 ** (i / 4) for i in range(5)]  # decade in |K|
         report = estimator_response(grid, 1.0)
         # toy-model regression value: slope -> -l/11 at leading order
-        assert report.slope * 11.0 / 1.0 == pytest.approx(-1.0, rel=1e-3)
+        assert report.slope * 11.0 / 1.0 == pytest.approx(-1.0, rel=1e-3, abs=0)
         assert report.max_relative_residual < 1e-3
 
     def test_needs_five_points(self):
@@ -233,4 +233,4 @@ class TestEstimatorResponse:
     def test_mixed_sign_grid(self):
         grid = [-4e-5, -4e-6, 4e-6, 1.2e-5, 4e-5]
         report = estimator_response(grid, 1.0)
-        assert report.slope == pytest.approx(-1.0 / 11.0, rel=2e-3)
+        assert report.slope == pytest.approx(-1.0 / 11.0, rel=2e-3, abs=0)

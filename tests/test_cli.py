@@ -141,7 +141,7 @@ class TestValues:
         assert code == 0
         payload = json.loads(out)
         rows = {row["quantity"]: row for row in payload["rows"]}
-        assert rows["delta_rho"]["value"] == pytest.approx(11.8554, rel=1e-4)
+        assert rows["delta_rho"]["value"] == pytest.approx(11.8554, rel=1e-4, abs=0)
         assert rows["delta_rho"]["unit"] == "g/cm3"
         assert rows["delta_rho"]["status"] == "order-of-magnitude"
         assert rows["delta_c"]["status"] == "closed-form"
@@ -150,17 +150,17 @@ class TestValues:
     def test_threshold_value(self, run_cli):
         code, out, _ = run_cli(["threshold", "--density", "1e-29g/cm3", "--format", "json"])
         payload = json.loads(out)
-        assert payload["rows"][0]["value"] == pytest.approx(1.052385e4, rel=1e-4)
+        assert payload["rows"][0]["value"] == pytest.approx(1.052385e4, rel=1e-4, abs=0)
 
     def test_clock_mass_value(self, run_cli):
         code, out, _ = run_cli(["clock-mass", "--length", "1cm", "--format", "json"])
-        assert json.loads(out)["rows"][0]["value"] == pytest.approx(1.854566e6, rel=1e-4)
+        assert json.loads(out)["rows"][0]["value"] == pytest.approx(1.854566e6, rel=1e-4, abs=0)
 
     def test_uncertainty_time(self, run_cli):
         code, out, _ = run_cli(["uncertainty", "--time", "1s", "--format", "json"])
         row = json.loads(out)["rows"][0]
         assert row["quantity"] == "delta_time"
-        assert row["value"] == pytest.approx(1.427117e-29, rel=1e-4)
+        assert row["value"] == pytest.approx(1.427117e-29, rel=1e-4, abs=0)
 
     def test_sub_planck_warning(self, run_cli):
         code, out, _ = run_cli(["uncertainty", "--length", "1e-35cm", "--format", "json"])
@@ -180,7 +180,7 @@ class TestValues:
         rows = {row["quantity"]: row["value"] for row in json.loads(out)["rows"]}
         expected = 1.0 / 2.99792458e10
         for name in ("t_1", "t_2", "t_3"):
-            assert rows[name] == pytest.approx(expected, rel=1e-10)
+            assert rows[name] == pytest.approx(expected, rel=1e-10, abs=0)
         assert rows["estimated_curvature"] == pytest.approx(0.0, abs=1e-10)
 
     def test_mc_fields(self, run_cli):
@@ -188,9 +188,9 @@ class TestValues:
             ["mc", "--length", "1cm", "--samples", "50000", "--seed", "3", "--format", "json"]
         )
         rows = {row["quantity"]: row["value"] for row in json.loads(out)["rows"]}
-        assert rows["variance_ratio_closed"] == pytest.approx(7.55568, rel=1e-4)
-        assert rows["variance_ratio_empirical"] == pytest.approx(7.5557, rel=0.05)
-        assert rows["closed_form_delta_c"] == pytest.approx(3.441523e-23, rel=1e-4)
+        assert rows["variance_ratio_closed"] == pytest.approx(7.55568, rel=1e-4, abs=0)
+        assert rows["variance_ratio_empirical"] == pytest.approx(7.5557, rel=0.05, abs=0)
+        assert rows["closed_form_delta_c"] == pytest.approx(3.441523e-23, rel=1e-4, abs=0)
 
     def test_natural_units_config(self, run_cli, tmp_path):
         config = tmp_path / "natural.conf"

@@ -24,20 +24,20 @@ def test_default_constants_codata_values():
     assert cs.c == 2.99792458e10
     assert cs.hbar == 1.054571817e-27
     assert cs.G == 6.67430e-8
-    assert cs.l_planck == pytest.approx(L_PLANCK, rel=1e-12)
-    assert cs.t_planck == pytest.approx(T_PLANCK, rel=1e-12)
-    assert cs.m_planck == pytest.approx(M_PLANCK, rel=1e-12)
+    assert cs.l_planck == pytest.approx(L_PLANCK, rel=1e-12, abs=0)
+    assert cs.t_planck == pytest.approx(T_PLANCK, rel=1e-12, abs=0)
+    assert cs.m_planck == pytest.approx(M_PLANCK, rel=1e-12, abs=0)
     # published rounded values, for orientation
-    assert cs.l_planck == pytest.approx(1.616255e-33, rel=1e-6)
-    assert cs.t_planck == pytest.approx(5.391247e-44, rel=1e-6)
-    assert cs.m_planck == pytest.approx(2.176434e-5, rel=1e-6)
+    assert cs.l_planck == pytest.approx(1.616255e-33, rel=1e-6, abs=0)
+    assert cs.t_planck == pytest.approx(5.391247e-44, rel=1e-6, abs=0)
+    assert cs.m_planck == pytest.approx(2.176434e-5, rel=1e-6, abs=0)
 
 
 def test_planck_unit_identities():
     cs = default_constants()
-    assert cs.t_planck * cs.c / cs.l_planck == pytest.approx(1.0, rel=1e-12)
-    assert cs.m_planck * cs.c**2 * cs.t_planck == pytest.approx(cs.hbar, rel=1e-12)
-    assert cs.l_planck == pytest.approx(math.sqrt(cs.hbar * cs.G / cs.c**3), rel=1e-12)
+    assert cs.t_planck * cs.c / cs.l_planck == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert cs.m_planck * cs.c**2 * cs.t_planck == pytest.approx(cs.hbar, rel=1e-12, abs=0)
+    assert cs.l_planck == pytest.approx(math.sqrt(cs.hbar * cs.G / cs.c**3), rel=1e-12, abs=0)
 
 
 def test_validate_accepts_defaults_and_natural_units():

@@ -45,25 +45,25 @@ positive_lengths = st.floats(min_value=1e-30, max_value=1e12, allow_nan=False, a
 
 def test_length_uncertainty_fixed_point(law):
     lp = law.constants.l_planck
-    assert law.length_uncertainty(lp) == pytest.approx(lp, rel=1e-12)
+    assert law.length_uncertainty(lp) == pytest.approx(lp, rel=1e-12, abs=0)
 
 
 def test_length_uncertainty_frozen_values(law):
-    assert law.length_uncertainty(1.0) == pytest.approx(DELTA_L_1CM, rel=1e-12)
-    assert law.length_uncertainty(1e4) == pytest.approx(DELTA_L_1E4CM, rel=1e-12)
+    assert law.length_uncertainty(1.0) == pytest.approx(DELTA_L_1CM, rel=1e-12, abs=0)
+    assert law.length_uncertainty(1e4) == pytest.approx(DELTA_L_1E4CM, rel=1e-12, abs=0)
     # cube-root scaling between the two
     assert law.length_uncertainty(1e4) / law.length_uncertainty(1.0) == pytest.approx(
-        1e4 ** (1 / 3), rel=1e-12
+        1e4 ** (1 / 3), rel=1e-12, abs=0
     )
 
 
 def test_time_uncertainty_fixed_point_and_values(law):
     tp = law.constants.t_planck
-    assert law.time_uncertainty(tp) == pytest.approx(tp, rel=1e-12)
-    assert law.time_uncertainty(1.0) == pytest.approx(DELTA_T_1S, rel=1e-12)
+    assert law.time_uncertainty(tp) == pytest.approx(tp, rel=1e-12, abs=0)
+    assert law.time_uncertainty(1.0) == pytest.approx(DELTA_T_1S, rel=1e-12, abs=0)
     t_1cm = 1.0 / law.constants.c
     assert law.time_uncertainty(t_1cm) == pytest.approx(
-        law.length_uncertainty(1.0) / law.constants.c, rel=1e-12
+        law.length_uncertainty(1.0) / law.constants.c, rel=1e-12, abs=0
     )
 
 
@@ -72,7 +72,7 @@ def test_time_length_bridge_identity(l):
     law = UncertaintyLaw()
     c = law.constants.c
     assert law.time_uncertainty(l / c) * c == pytest.approx(
-        law.length_uncertainty(l), rel=1e-12
+        law.length_uncertainty(l), rel=1e-12, abs=0
     )
 
 
@@ -80,28 +80,28 @@ def test_time_length_bridge_identity(l):
 def test_cube_root_scaling(l, k):
     law = UncertaintyLaw()
     assert law.length_uncertainty(k**3 * l) == pytest.approx(
-        k * law.length_uncertainty(l), rel=1e-12
+        k * law.length_uncertainty(l), rel=1e-12, abs=0
     )
-    assert law.clock_mass(k**3 * l) == pytest.approx(k * law.clock_mass(l), rel=1e-12)
+    assert law.clock_mass(k**3 * l) == pytest.approx(k * law.clock_mass(l), rel=1e-12, abs=0)
 
 
 def test_clock_mass_values(law):
     assert law.clock_mass(law.constants.l_planck) == pytest.approx(
-        law.constants.m_planck, rel=1e-12
+        law.constants.m_planck, rel=1e-12, abs=0
     )
-    assert law.clock_mass(1.0) == pytest.approx(CLOCK_MASS_1CM, rel=1e-12)
+    assert law.clock_mass(1.0) == pytest.approx(CLOCK_MASS_1CM, rel=1e-12, abs=0)
     # published "~1e6 g" figure: same decade
     assert abs(math.log10(law.clock_mass(1.0) / 1e6)) < 0.5
     # light-second input: the law answers ~5.8e9 g, nowhere near the quoted 1e16 g
     mass = law.clock_mass(2.998e10)
-    assert mass == pytest.approx(CLOCK_MASS_LIGHT_SECOND, rel=1e-12)
+    assert mass == pytest.approx(CLOCK_MASS_LIGHT_SECOND, rel=1e-12, abs=0)
     assert abs(math.log10(mass / 1e16)) > 0.5
 
 
 def test_max_length_for_density_values(law):
-    assert law.max_length_for_density(1e-29) == pytest.approx(MAX_LENGTH_1E29, rel=1e-12)
+    assert law.max_length_for_density(1e-29) == pytest.approx(MAX_LENGTH_1E29, rel=1e-12, abs=0)
     # "order of water density" pairing at l ~ 1e-5 cm
-    assert law.max_length_for_density(11.86) == pytest.approx(1e-5, rel=2e-3)
+    assert law.max_length_for_density(11.86) == pytest.approx(1e-5, rel=2e-3, abs=0)
 
 
 @given(
@@ -124,7 +124,7 @@ def test_max_length_for_density_whole_range(rho):
 def test_max_length_inverts_density_fluctuation(l):
     law = UncertaintyLaw()
     rho = density_fluctuation(l, law.constants)
-    assert law.max_length_for_density(rho) == pytest.approx(l, rel=1e-9)
+    assert law.max_length_for_density(rho) == pytest.approx(l, rel=1e-9, abs=0)
 
 
 @given(a=positive_lengths, b=positive_lengths)
@@ -172,8 +172,8 @@ def test_sub_planck_flags(law):
 
 def test_law_works_in_natural_units():
     law = UncertaintyLaw(make_constants(1.0, 1.0, 1.0))
-    assert law.length_uncertainty(8.0) == pytest.approx(2.0, rel=1e-12)
-    assert law.clock_mass(27.0) == pytest.approx(3.0, rel=1e-12)
+    assert law.length_uncertainty(8.0) == pytest.approx(2.0, rel=1e-12, abs=0)
+    assert law.clock_mass(27.0) == pytest.approx(3.0, rel=1e-12, abs=0)
 
 
 def test_law_rejects_invalid_constants():

@@ -1,6 +1,8 @@
 import concurrent.futures
 import math
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from foamlab.constants import default_constants
 from foamlab.errors import DomainError
 from foamlab.laws import UncertaintyLaw
+from foamlab import montecarlo
 from foamlab.montecarlo import (
     ADJACENT_CORRELATION,
     OUTER_CORRELATION,
@@ -43,23 +46,23 @@ def closed_form_spectrum() -> tuple[float, float, float]:
 
 class TestCovarianceConstruction:
     def test_correlations(self):
-        assert ADJACENT_CORRELATION == pytest.approx(-0.2062994740159002, rel=1e-12)
-        assert OUTER_CORRELATION == pytest.approx(-0.047359140442247316, rel=1e-12)
+        assert ADJACENT_CORRELATION == pytest.approx(-0.2062994740159002, rel=1e-12, abs=0)
+        assert OUTER_CORRELATION == pytest.approx(-0.047359140442247316, rel=1e-12, abs=0)
 
     def test_sigma_matches_time_law(self):
         cs = default_constants()
         cov = ngvandam_covariance(1.0, cs)
         sigma = UncertaintyLaw(cs).time_uncertainty(1.0 / cs.c)
-        assert cov.sigma2 == pytest.approx(sigma**2, rel=1e-12)
+        assert cov.sigma2 == pytest.approx(sigma**2, rel=1e-12, abs=0)
 
     def test_interval_variance_constraints(self):
         cov = ngvandam_covariance(2.5)
         s2 = cov.sigma2
         # single, adjacent pair, full triple
         assert cov.cov12 == cov.cov23
-        assert 2 * s2 + 2 * cov.cov12 == pytest.approx(2 ** (2 / 3) * s2, rel=1e-12)
+        assert 2 * s2 + 2 * cov.cov12 == pytest.approx(2 ** (2 / 3) * s2, rel=1e-12, abs=0)
         total = 3 * s2 + 2 * (cov.cov12 + cov.cov23 + cov.cov13)
-        assert total == pytest.approx(3 ** (2 / 3) * s2, rel=1e-12)
+        assert total == pytest.approx(3 ** (2 / 3) * s2, rel=1e-12, abs=0)
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(DomainError):
@@ -70,8 +73,8 @@ class TestCovarianceConstruction:
         # direct quadratic form in the correlations
         closed = 15.0 - 6.0 * 2.0 ** (2.0 / 3.0) + 3.0 ** (2.0 / 3.0)
         quadratic = 6.0 - 8.0 * ADJACENT_CORRELATION + 2.0 * OUTER_CORRELATION
-        assert closed == pytest.approx(VARIANCE_RATIO, rel=1e-12)
-        assert quadratic == pytest.approx(VARIANCE_RATIO, rel=1e-12)
+        assert closed == pytest.approx(VARIANCE_RATIO, rel=1e-12, abs=0)
+        assert quadratic == pytest.approx(VARIANCE_RATIO, rel=1e-12, abs=0)
 
 
 class TestEigenvalues:
@@ -79,7 +82,7 @@ class TestEigenvalues:
         expected = closed_form_spectrum()
         spectrum = eigenvalues(CORRELATION)
         for got, want in zip(spectrum, expected):
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_correlation_spectrum_bounds_and_trace(self):
         spectrum = eigenvalues(CORRELATION)
@@ -89,10 +92,10 @@ class TestEigenvalues:
 
     def test_identity_and_rank_one(self):
         identity = TripletCovariance(sigma2=1.0, cov12=0.0, cov23=0.0, cov13=0.0)
-        assert eigenvalues(identity) == pytest.approx((1.0, 1.0, 1.0))
+        assert eigenvalues(identity) == pytest.approx((1.0, 1.0, 1.0), abs=0)
         ones = TripletCovariance(sigma2=1.0, cov12=1.0, cov23=1.0, cov13=1.0)
         spectrum = eigenvalues(ones)
-        assert spectrum[0] == pytest.approx(3.0, rel=1e-12)
+        assert spectrum[0] == pytest.approx(3.0, rel=1e-12, abs=0)
         assert abs(spectrum[1]) < 1e-12 and abs(spectrum[2]) < 1e-12
 
 
@@ -148,8 +151,10 @@ class TestVerification:
         result = verify_curvature_uncertainty(McConfig(l=1.0, n_samples=1_000_000, seed=42))
         assert result.relative_error < 0.01
         ratio = result.empirical_variance / result.sigma2
-        assert ratio == pytest.approx(VARIANCE_RATIO, rel=0.01)
-        assert result.empirical_delta_c == pytest.approx(result.closed_form_delta_c, rel=0.01)
+        assert ratio == pytest.approx(VARIANCE_RATIO, rel=0.01, abs=0)
+        assert result.empirical_delta_c == pytest.approx(
+            result.closed_form_delta_c, rel=0.01, abs=0
+        )
 
     def test_closed_form_delta_c_bit_identical_to_law(self):
         result = verify_curvature_uncertainty(McConfig(l=1.0, n_samples=100, seed=5))
@@ -161,8 +166,8 @@ class TestVerification:
         result = verify_curvature_uncertainty(
             McConfig(l=1.0, n_samples=1_000_000, seed=7), cov_override=identity
         )
-        assert result.empirical_variance / sigma2 == pytest.approx(6.0, rel=0.01)
-        assert result.closed_form_variance == pytest.approx(6.0 * sigma2, rel=1e-12)
+        assert result.empirical_variance / sigma2 == pytest.approx(6.0, rel=0.01, abs=0)
+        assert result.closed_form_variance == pytest.approx(6.0 * sigma2, rel=1e-12, abs=0)
 
     def test_bit_stable_for_fixed_seed_and_partitions(self):
         config = McConfig(l=1.0, n_samples=50_000, seed=11, n_partitions=8)
@@ -224,3 +229,67 @@ class TestVerification:
 
         ratio = rms_error(10_000) / rms_error(1_000_000)
         assert 10 / 3 < ratio < 30
+
+
+class TestAlongside:
+    """verify_curvature_uncertainty(..., alongside=f) runs f beside the blocks."""
+
+    @pytest.mark.parametrize(
+        "samples, partitions",
+        [(100_000, 1), (2_500_000, 2)],
+        ids=["helper-thread", "pool"],
+    )
+    def test_runs_once_on_calling_thread_and_changes_nothing(
+        self, monkeypatch, samples, partitions
+    ):
+        config = McConfig(l=1.0, n_samples=samples, seed=9, n_partitions=partitions)
+        alone = verify_curvature_uncertainty(config)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        callers = []
+        beside = verify_curvature_uncertainty(
+            config, alongside=lambda: callers.append(threading.get_ident())
+        )
+        assert beside == alone
+        assert callers == [threading.get_ident()]
+
+    @pytest.mark.parametrize("samples, partitions", [(100, 1), (2_500_000, 2)])
+    def test_block_error_is_raised_on_caller_after_join(self, monkeypatch, samples, partitions):
+        def failing(*args):
+            raise ZeroDivisionError("block failed")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_block_moments", failing)
+        threads = threading.active_count()
+        ran = []
+        with pytest.raises(ZeroDivisionError, match="block failed"):
+            verify_curvature_uncertainty(
+                McConfig(l=1.0, n_samples=samples, seed=1, n_partitions=partitions),
+                alongside=lambda: ran.append(True),
+            )
+        assert ran == [True]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("samples, partitions", [(100, 1), (2_500_000, 2)])
+    def test_alongside_error_still_joins_blocks(self, monkeypatch, samples, partitions):
+        finished = []
+        block = montecarlo._block_moments
+
+        def slow(*args):
+            time.sleep(0.05)
+            moments = block(*args)
+            finished.append(args[2])
+            return moments
+
+        def failing():
+            raise ZeroDivisionError("alongside failed")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_block_moments", slow)
+        threads = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="alongside failed"):
+            verify_curvature_uncertainty(
+                McConfig(l=1.0, n_samples=samples, seed=1, n_partitions=partitions),
+                alongside=failing,
+            )
+        assert sorted(finished) == list(range(math.ceil(samples / montecarlo.BLOCK_ROWS)))
+        assert threading.active_count() == threads

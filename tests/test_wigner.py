@@ -23,7 +23,9 @@ from foamlab.wigner import (
 )
 
 # Frozen oracles (direct evaluation with CODATA Planck units).
-ESTIMATE_MICRO_BUMP = 3.0324008654377458e-18
+# 2**-20 / (11 c), correctly rounded: the bump 2**-20 is exact in binary,
+# so the second difference of (1, 1, 1 + 2**-20) carries no rounding.
+ESTIMATE_MICRO_BUMP = 2.8919228224160634e-18
 DELTA_C_1CM = 3.44152250099432e-23
 DELTA_R_1E5 = 8.803996281587535e-28
 DELTA_RHO_1E5 = 11.85538146570642
@@ -54,8 +56,8 @@ class TestEstimateCurvature:
         assert abs(estimate_curvature(PulseTriplet(1.1, 1.0, 0.9))) < 1e-25
 
     def test_micro_bump_value(self):
-        c_est = estimate_curvature(PulseTriplet(1.0, 1.0, 1.0 + 1e-6))
-        assert c_est == pytest.approx(ESTIMATE_MICRO_BUMP, rel=1e-12)
+        c_est = estimate_curvature(PulseTriplet(1.0, 1.0, 1.0 + 2**-20))
+        assert c_est == pytest.approx(ESTIMATE_MICRO_BUMP, rel=1e-12, abs=0)
 
     def test_sign_follows_second_difference(self):
         assert estimate_curvature(PulseTriplet(1.0, 1.0, 1.0 + 1e-6)) > 0
@@ -70,7 +72,7 @@ class TestEstimateCurvature:
         cs = default_constants()
         base = estimate_curvature(PulseTriplet(t1, 1.0, t3), cs)
         bumped = estimate_curvature(PulseTriplet(t1 + bump, 1.0, t3), cs)
-        assert bumped - base == pytest.approx(bump / (11.0 * cs.c), rel=1e-9)
+        assert bumped - base == pytest.approx(bump / (11.0 * cs.c), rel=1e-9, abs=0)
 
     def test_subnormal_times(self):
         # t2**2 underflows to zero here; dividing by t2 twice does not.
@@ -86,7 +88,7 @@ class TestEstimateCurvature:
 class TestSecondDifferenceVariance:
     def test_uncorrelated_triplet(self):
         cov = TripletCovariance(sigma2=0.7, cov12=0.0, cov23=0.0, cov13=0.0)
-        assert second_difference_variance(cov) == pytest.approx(6 * 0.7, rel=1e-12)
+        assert second_difference_variance(cov) == pytest.approx(6 * 0.7, rel=1e-12, abs=0)
 
     def test_perfectly_correlated_triplet_cancels(self):
         cov = TripletCovariance(sigma2=0.3, cov12=0.3, cov23=0.3, cov13=0.3)
@@ -97,7 +99,7 @@ class TestSecondDifferenceVariance:
 
         cov = ngvandam_covariance(1.0)
         assert second_difference_variance(cov) / cov.sigma2 == pytest.approx(
-            VARIANCE_RATIO, rel=1e-12
+            VARIANCE_RATIO, rel=1e-12, abs=0
         )
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -168,49 +170,51 @@ class TestCovarianceStack:
 
 class TestClosedFormChain:
     def test_coefficient(self):
-        assert CURVATURE_NOISE_COEFF == pytest.approx(math.sqrt(VARIANCE_RATIO) / 11, rel=1e-15)
+        assert CURVATURE_NOISE_COEFF == pytest.approx(
+            math.sqrt(VARIANCE_RATIO) / 11, rel=1e-15, abs=0
+        )
         assert abs(CURVATURE_NOISE_COEFF - 0.2498866) <= 1e-6
 
     def test_coefficient_extraction(self):
         cs = default_constants()
         for l in (1e-5, 1.0, 1e5):
             extracted = curvature_uncertainty(l, cs) * l * (l / cs.l_planck) ** (2 / 3)
-            assert extracted == pytest.approx(CURVATURE_NOISE_COEFF, rel=1e-12)
+            assert extracted == pytest.approx(CURVATURE_NOISE_COEFF, rel=1e-12, abs=0)
 
     def test_delta_c_at_1cm(self):
-        assert curvature_uncertainty(1.0) == pytest.approx(DELTA_C_1CM, rel=1e-12)
+        assert curvature_uncertainty(1.0) == pytest.approx(DELTA_C_1CM, rel=1e-12, abs=0)
 
     def test_delta_c_scaling(self):
         assert curvature_uncertainty(8.0) / curvature_uncertainty(1.0) == pytest.approx(
-            1 / 32, rel=1e-12
+            1 / 32, rel=1e-12, abs=0
         )
 
     def test_riemann_component(self):
         assert riemann_component(0.0) == 0.0
         assert riemann_component(2.0) == 8.0
-        assert riemann_component(DELTA_C_1CM) == pytest.approx(2.368e-45, rel=1e-3)
+        assert riemann_component(DELTA_C_1CM) == pytest.approx(2.368e-45, rel=1e-3, abs=0)
         assert riemann_component(-3.0) == 18.0
 
     def test_riemann_scalar_fixed_point_and_value(self):
         cs = default_constants()
         lp = cs.l_planck
-        assert riemann_scalar_fluctuation(lp, cs) == pytest.approx(lp**-2, rel=1e-12)
-        assert riemann_scalar_fluctuation(1e-5, cs) == pytest.approx(DELTA_R_1E5, rel=1e-12)
+        assert riemann_scalar_fluctuation(lp, cs) == pytest.approx(lp**-2, rel=1e-12, abs=0)
+        assert riemann_scalar_fluctuation(1e-5, cs) == pytest.approx(DELTA_R_1E5, rel=1e-12, abs=0)
 
     def test_riemann_scalar_scaling(self):
         ratio = riemann_scalar_fluctuation(1e3 * 2.0) / riemann_scalar_fluctuation(2.0)
-        assert ratio == pytest.approx(1e-10, rel=1e-9)
+        assert ratio == pytest.approx(1e-10, rel=1e-9, abs=0)
 
     def test_density_value_and_pairings(self):
-        assert density_fluctuation(1e-5) == pytest.approx(DELTA_RHO_1E5, rel=1e-12)
-        assert density_fluctuation(1.052385e4) == pytest.approx(1e-29, rel=1e-3)
+        assert density_fluctuation(1e-5) == pytest.approx(DELTA_RHO_1E5, rel=1e-12, abs=0)
+        assert density_fluctuation(1.052385e4) == pytest.approx(1e-29, rel=1e-3, abs=0)
 
     @given(l=st.floats(min_value=1e-8, max_value=1e8))
     def test_density_two_form_identity(self, l):
         cs = default_constants()
         direct = density_fluctuation(l, cs)
         via_scalar = (cs.c**2 / cs.G) * riemann_scalar_fluctuation(l, cs)
-        assert via_scalar == pytest.approx(direct, rel=1e-12)
+        assert via_scalar == pytest.approx(direct, rel=1e-12, abs=0)
 
     def test_scalar_to_curvature_ratio_is_constant(self):
         cs = default_constants()
@@ -219,7 +223,7 @@ class TestClosedFormChain:
             for l in np.logspace(-3, 3, 13)
         ]
         for ratio in ratios[1:]:
-            assert ratio == pytest.approx(ratios[0], rel=1e-9)
+            assert ratio == pytest.approx(ratios[0], rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan"), float("inf")])
     def test_domain_errors(self, bad):
