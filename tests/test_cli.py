@@ -571,6 +571,10 @@ class TestGoldenFiles:
                 "bounce_k4e-6_l1_p3.txt",
                 ["bounce", "--curvature", "4e-61/cm2", "--separation", "1cm", "--pulses", "3"],
             ),
+            ("report_default.txt", ["report", "--format", "table"]),
+            ("report_default.csv", ["report", "--format", "csv"]),
+            ("constants.txt", ["constants", "--format", "table"]),
+            ("constants.csv", ["constants", "--format", "csv"]),
         ],
     )
     def test_matches_golden(self, run_cli, golden_name, args):
