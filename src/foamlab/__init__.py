@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 
 from .constants import (
     ConstantSet,
-    default_constants,
     load_constants,
     make_constants,
-    serialize_constants,
     validate_constants,
 )
 from .errors import ConfigError, ConsistencyError, DomainError
@@ -28,7 +26,6 @@ from .wigner import (
     density_fluctuation,
     estimate_curvature,
     fluctuation_profile,
-    riemann_component,
     riemann_scalar_fluctuation,
     second_difference_variance,
 )
@@ -39,10 +36,8 @@ from .report import ClaimReport, ClaimRow, build_claim_report
 __all__ = [
     "__version__",
     "ConstantSet",
-    "default_constants",
     "load_constants",
     "make_constants",
-    "serialize_constants",
     "validate_constants",
     "ConfigError",
     "ConsistencyError",
@@ -55,7 +50,6 @@ __all__ = [
     "density_fluctuation",
     "estimate_curvature",
     "fluctuation_profile",
-    "riemann_component",
     "riemann_scalar_fluctuation",
     "second_difference_variance",
     "McConfig",

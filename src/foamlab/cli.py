@@ -17,7 +17,8 @@ import functools
 import io
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from json import dumps
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable, Sequence
 
@@ -26,7 +27,7 @@ from .constants import DEFAULT_CONSTANTS, load_constants, validate_constants
 from .errors import ConfigError, ConsistencyError, DomainError
 from .laws import UncertaintyLaw
 from .montecarlo import McConfig, verify_curvature_uncertainty
-from .report import build_claim_report
+from .report import ClaimRow, build_claim_report
 from .wigner import fluctuation_profile, linearization_ok
 from . import bounce
 
@@ -162,7 +163,7 @@ def run() -> None:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes the parsed arguments and returns a payload
-# dict with a "rows" table, a _Table or a list of row dicts
+# dict whose "rows" is a _Table
 
 
 def _payload(
@@ -206,13 +207,12 @@ def _cmd_constants(args: argparse.Namespace) -> dict[str, Any]:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
         constants = load_constants(text)
+    values = asdict(constants)
+    columns = [list(values), list(values.values()), [_CONSTANT_UNITS[name] for name in values]]
     return {
         "command": "constants",
         "params": {"config": args.config},
-        "rows": [
-            {"name": name, "value": value, "unit": _CONSTANT_UNITS[name]}
-            for name, value in asdict(constants).items()
-        ],
+        "rows": _Table(["name", "value", "unit"], columns),
         "violations": validate_constants(constants),
         "warnings": [],
     }
@@ -307,7 +307,9 @@ def _cmd_bounce(args: argparse.Namespace) -> dict[str, Any]:
 )
 def _cmd_report(args: argparse.Namespace) -> dict[str, Any]:
     report = build_claim_report(seed=args.seed, samples=args.samples, partitions=args.partitions)
-    return {"command": "report", **asdict(report), "warnings": []}
+    names = [field.name for field in fields(ClaimRow)]
+    columns = [[getattr(row, name) for row in report.rows] for name in names]
+    return {"command": "report", **asdict(report), "rows": _Table(names, columns), "warnings": []}
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +326,14 @@ class _Table:
         self.names = names
         self.columns = columns
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[dict[str, Any]]) -> _Table:
-        """The table of row dicts, which must share one key order."""
-        names = list(rows[0]) if rows else []
-        if any(list(row) != names for row in rows):
-            raise ConsistencyError("output rows do not share one key order")
-        return cls(names, [[row[name] for row in rows] for name in names])
-
-
-class _Json(str):
-    """Text that _json writes as it stands: a value already encoded."""
-
 
 def _render(payload: dict[str, Any], fmt: str, precision: int) -> str:
     """Render the payload with row values and float params rounded to the display precision.
 
-    The rows (a _Table, or row dicts read into one) become the cells of fmt
-    column by column.  The report's constants block keeps full precision.
+    The rows _Table becomes the cells of fmt column by column.  The report's
+    constants block keeps full precision.
     """
-    rows = payload["rows"]
-    table = rows if isinstance(rows, _Table) else _Table.from_rows(rows)
+    table = payload["rows"]
     columns = [
         _cells(column, fmt, precision, rounded=name in _VALUE_KEYS)
         for name, column in zip(table.names, table.columns)
@@ -352,10 +341,16 @@ def _render(payload: dict[str, Any], fmt: str, precision: int) -> str:
     rendered = {**payload, "rows": _Table(table.names, columns)}
     if "params" in payload:
         params = payload["params"]
-        cells = _cells(list(params.values()), fmt, precision, rounded=True)
-        rendered["params"] = dict(zip(params, map(_Json, cells)))
+        rendered["params"] = {key: _round_float(value, precision) for key, value in params.items()}
     if fmt == "json":
-        return _json(rendered) + "\n"
+        items = []
+        for key, value in rendered.items():
+            if key == "rows":
+                text = _json_table(value, "  ")
+            else:  # the stdlib's lines, one level deeper
+                text = _strict_json(value).replace("\n", "\n  ")
+            items.append(f"  {encode_basestring(key)}: {text}")
+        return "{\n" + ",\n".join(items) + "\n}\n"
     if fmt == "csv":
         buffer = io.StringIO()  # RFC-4180-style, CRLF endings
         csv.writer(buffer).writerows([table.names, *zip(*columns)])
@@ -387,7 +382,7 @@ def _cells(values: Sequence[Any], fmt: str, precision: int, rounded: bool) -> li
         else:
             value = _round_float(value, precision) if rounded else value
             if json:
-                cell = _json(value)
+                cell = _strict_json(value)
             else:
                 cell = format(value, spec) if isinstance(value, float) else str(value)
         cells.append(cell)
@@ -411,45 +406,16 @@ def _round_float(value: Any, precision: int) -> Any:
     return value
 
 
-def _json(value: Any, indent: str = "") -> str:
-    """value, with str keys, as json.dumps(value, indent=2, ensure_ascii=False) writes it.
-
-    The output is strict RFC 8259 JSON: NaN or an infinity anywhere is a
-    domain error.  A _Json text is written as it stands, and a _Table of
-    them as the list of its row dicts.
-    """
-    if isinstance(value, str):
-        return value if isinstance(value, _Json) else encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DomainError(f"output value {value!r} is not finite; JSON has no encoding for it")
-        return float.__repr__(value)
-    if isinstance(value, _Table):
-        return _json_table(value, indent)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        items = [_json(item, inner) for item in value]
-        opener, closer = "[", "]"
-    elif isinstance(value, dict):
-        items = [f"{encode_basestring(key)}: {_json(item, inner)}" for key, item in value.items()]
-        opener, closer = "{", "}"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return opener + closer
-    return f"{opener}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closer}"
+def _strict_json(value: Any) -> str:
+    """value as json.dumps(indent=2, ensure_ascii=False) writes it; NaN or inf is a DomainError."""
+    try:
+        return dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
+    except ValueError:
+        raise DomainError("an output value is not finite; JSON has no encoding for it") from None
 
 
 def _json_table(table: _Table, indent: str) -> str:
-    """The rows of a _Table of JSON texts as _json writes row dicts at indent, joined once."""
+    """The rows of a _Table of JSON texts as json.dumps(indent=2) writes row dicts at indent."""
     if not table.columns or not table.columns[0]:
         return "[]"
     row, count = indent + "  ", len(table.columns[0])

@@ -70,10 +70,17 @@ def require_representable(name: str, value: float, l: Length) -> float:
 
 
 def make_constants(c: float, hbar: float, G: float) -> ConstantSet:
-    """Build a ConstantSet, deriving the Planck units from (c, hbar, G)."""
+    """Build a ConstantSet, deriving the Planck units from (c, hbar, G).
+
+    A c whose cube overflows, or underflows to zero, raises DomainError.
+    """
     for name, value in (("c", c), ("hbar", hbar), ("G", G)):
         require_positive_finite(name, value)
-    l_planck = math.sqrt(hbar * G / c**3)
+    try:
+        l_planck = math.sqrt(hbar * G / c**3)
+    except (OverflowError, ZeroDivisionError):
+        message = f"c = {c!r} takes c**3 out of the nonzero doubles; the Planck length is undefined"
+        raise DomainError(message) from None
     return ConstantSet(
         c=c,
         hbar=hbar,
@@ -88,11 +95,6 @@ def make_constants(c: float, hbar: float, G: float) -> ConstantSet:
 # set is frozen, so every caller may share it; each `constants` parameter
 # in the toolkit defaults to it.
 DEFAULT_CONSTANTS = make_constants(C_DEFAULT, HBAR_DEFAULT, G_DEFAULT)
-
-
-def default_constants() -> ConstantSet:
-    """The shared CODATA-2018 set, DEFAULT_CONSTANTS."""
-    return DEFAULT_CONSTANTS
 
 
 def validate_constants(constants: ConstantSet) -> list[str]:
@@ -174,18 +176,4 @@ def load_constants(config_text: str) -> ConstantSet:
         c=values.get("c", C_DEFAULT),
         hbar=values.get("hbar", HBAR_DEFAULT),
         G=values.get("G", G_DEFAULT),
-    )
-
-
-def serialize_constants(constants: ConstantSet) -> str:
-    """Render the base constants as a config document.
-
-    Uses repr floats, so load_constants(serialize_constants(s)) is
-    bit-comparable to s on (c, hbar, G).
-    """
-    return (
-        "# foamlab constants (CGS: cm, g, s)\n"
-        f"c = {constants.c!r}\n"
-        f"hbar = {constants.hbar!r}\n"
-        f"G = {constants.G!r}\n"
     )

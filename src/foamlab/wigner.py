@@ -183,13 +183,6 @@ def curvature_uncertainty(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS)
     return _evaluate("delta_C", l, lambda: CURVATURE_NOISE_COEFF * (1.0 / l) * ratio ** (2.0 / 3.0))
 
 
-def riemann_component(c_value: Curvature) -> Curvature2:
-    """Riemann component 2 C^2 for a clock/mirror along the first axis."""
-    if not math.isfinite(c_value):
-        raise DomainError(f"curvature must be finite, got {c_value!r}")
-    return 2.0 * c_value * c_value
-
-
 def riemann_scalar_fluctuation(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> Curvature2:
     """Riemann-scalar fluctuation (1/l^2) * (l_planck/l)^(4/3) in 1/cm^2.
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from foamlab.constants import default_constants
+from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.laws import UncertaintyLaw
 from foamlab.montecarlo import (
     ADJACENT_CORRELATION,
@@ -182,7 +182,7 @@ def test_c08_threshold_claim(run_cli, law):
 
 
 def test_c09_density_two_form_identity():
-    cs = default_constants()
+    cs = DEFAULT_CONSTANTS
     worst = 0.0
     for l in np.logspace(-3, 3, 121):
         direct = density_fluctuation(l, cs)
@@ -194,7 +194,7 @@ def test_c09_density_two_form_identity():
 
 def test_c10_bounce_simulator():
     start = time.perf_counter()
-    cs = default_constants()
+    cs = DEFAULT_CONSTANTS
     flat = bounce.simulate_round_trips(bounce.BounceModel(k=0.0, l=1.0, constants=cs), 6)
     flat_gap = max(abs(t * cs.c - 1.0) for t in flat.times)
     assert flat_gap <= 1e-10

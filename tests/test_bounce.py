@@ -10,11 +10,11 @@ from foamlab.bounce import (
     simulate_round_trips,
     solve_outbound,
 )
-from foamlab.constants import default_constants
+from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
 from foamlab.wigner import PulseTriplet, estimate_curvature
 
-C = default_constants().c
+C = DEFAULT_CONSTANTS.c
 
 
 def second_difference(times) -> float:

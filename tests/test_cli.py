@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from foamlab import bounce
-from foamlab.cli import _VALUE_KEYS, _json, _render, _round_float, build_parser
-from foamlab.errors import ConsistencyError, DomainError
+from foamlab.cli import _VALUE_KEYS, _Table, _render, _round_float, build_parser
+from foamlab.errors import DomainError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -103,6 +103,16 @@ class TestExitCodes:
         code, _, err = run_cli(["constants", "--config", "/nonexistent/path.conf"])
         assert code == 1
         assert "config" in err
+
+    @pytest.mark.parametrize("c", ["1e308", "1e-120"])
+    def test_config_outside_double_range_is_domain_error(self, run_cli, tmp_path, c):
+        # c**3 overflows at 1e308 and underflows to 0 at 1e-120.
+        config = tmp_path / "extreme.conf"
+        config.write_text(f"c = {c}\n")
+        code, out, err = run_cli(["constants", "--config", str(config)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("foamlab: error:") and err.count("\n") == 1
 
     def test_success_is_zero(self, run_cli):
         code, out, err = run_cli(["clock-mass", "--length", "1cm"])
@@ -297,43 +307,12 @@ column_values = st.sampled_from(
 )
 
 
-@st.composite
-def row_lists(draw):
-    """Dicts over one key set: one key order or shuffled, one type per column or mixed."""
-    names = draw(st.lists(json_texts, min_size=1, max_size=4, unique=True))
-    columns = {name: draw(column_values) for name in names}
-    rows = []
-    for _ in range(draw(st.integers(1, 6))):
-        order = draw(st.permutations(names)) if draw(st.booleans()) else names
-        rows.append({name: draw(columns[name]) for name in order})
-    return rows
-
-
-json_values = st.recursive(
-    json_leaves | row_lists(),
-    lambda children: (
-        st.lists(children, max_size=4)
-        | st.lists(children, max_size=4).map(tuple)
-        | st.dictionaries(json_texts, children, max_size=4)
-    ),
-    max_leaves=25,
-)
-
-
 def dumps(value) -> str:
     return json.dumps(value, indent=2, ensure_ascii=False)
 
 
 class TestJsonWriter:
-    """The writer emits json.dumps(indent=2, ensure_ascii=False) byte for byte, strictly."""
-
-    @given(value=json_values)
-    @example(value={})
-    @example(value=[])
-    @example(value=[{}, {}])
-    @example(value=[[True, False], {"a": None}])
-    def test_matches_json_dumps(self, value):
-        assert _json(value) == dumps(value)
+    """A rendered payload is json.dumps(indent=2, ensure_ascii=False) of its rounded values."""
 
     @given(
         names=st.lists(
@@ -344,52 +323,61 @@ class TestJsonWriter:
     )
     def test_rendered_row_table_matches_json_dumps(self, names, data, precision):
         # A value column is rounded in the same pass; the reference rounds a copy of each row.
-        columns = {name: data.draw(column_values) for name in names}
-        columns["value"] = st.floats(-1e300, 1e300) | st.text(max_size=3) | st.none()
-        rows = [
-            {name: data.draw(strategy) for name, strategy in columns.items()}
-            for _ in range(data.draw(st.integers(0, 6)))
-        ]
-        params = data.draw(st.dictionaries(json_texts, st.floats(-1e300, 1e300) | json_ints))
-        payload = {"command": "rows", "params": params, "rows": rows, "warnings": ["w"]}
+        strategies = {name: data.draw(column_values) for name in names}
+        strategies["value"] = st.floats(-1e300, 1e300) | st.text(max_size=3) | st.none()
+        count = data.draw(st.integers(0, 6))
+        columns = {
+            name: [data.draw(strategy) for _ in range(count)]
+            for name, strategy in strategies.items()
+        }
+        params = data.draw(
+            st.dictionaries(json_texts, st.floats(-1e300, 1e300) | json_ints | st.none())
+        )
+        warnings = data.draw(st.lists(json_texts, max_size=3))
+        table = _Table(list(columns), list(columns.values()))
+        payload = {"command": "rows", "params": params, "rows": table, "warnings": warnings}
         expected = {
             **payload,
             "params": {key: _round_float(value, precision) for key, value in params.items()},
             "rows": [
                 {
                     key: _round_float(value, precision) if key == "value" else value
-                    for key, value in row.items()
+                    for key, value in zip(columns, row)
                 }
-                for row in rows
+                for row in zip(*columns.values())
             ],
         }
         assert _render(payload, "json", precision) == dumps(expected) + "\n"
+
+    def test_zero_row_table_with_int_and_none_params(self):
+        params = {"config": None, "pulses": 3, "length": 1.23456789}
+        table = _Table(["quantity", "value"], [[], []])
+        payload = {"command": "x", "params": params, "rows": table, "warnings": []}
+        expected = {**payload, "params": {**params, "length": 1.23457}, "rows": []}
+        assert _render(payload, "json", 6) == dumps(expected) + "\n"
 
     @pytest.mark.parametrize(
         "payload",
         [
             # full-precision provenance, never rounded
-            {"command": "report", "constants": {"c": [1.0, math.nan]}, "rows": [], "warnings": []},
+            {
+                "command": "report", "constants": {"c": [1.0, math.nan]},
+                "rows": _Table([], []), "warnings": [],
+            },
             # a float column that is not a value column
             {
                 "command": "bounce",
-                "rows": [
-                    {"quantity": "t_1", "value": 1.0, "bound": 2.0},
-                    {"quantity": "t_2", "value": 1.0, "bound": math.inf},
-                ],
+                "rows": _Table(
+                    ["quantity", "value", "bound"], [["t_1", "t_2"], [1.0, 1.0], [2.0, math.inf]]
+                ),
                 "warnings": [],
             },
-            {"command": "x", "rows": [], "warnings": [], "extra": (-math.inf,)},
+            {"command": "x", "rows": _Table([], []), "warnings": [], "extra": (-math.inf,)},
         ],
         ids=["nested_nan", "inf_column", "minus_inf"],
     )
     def test_non_finite_output_is_domain_error(self, payload):
         with pytest.raises(DomainError, match="not finite"):
-            _render(payload, "json", 6)
-
-    def test_rows_must_share_one_key_order(self):
-        payload = {"command": "x", "rows": [{"a": 1, "b": 2}, {"b": 2, "a": 1}], "warnings": []}
-        with pytest.raises(ConsistencyError, match="key order"):
             _render(payload, "json", 6)
 
 
@@ -413,7 +401,7 @@ class TestFormatOnce:
 
     @staticmethod
     def rendered(values, fmt: str, precision: int) -> str:
-        payload = {"command": "x", "rows": [{"value": value} for value in values], "warnings": []}
+        payload = {"command": "x", "rows": _Table(["value"], [values]), "warnings": []}
         return _render(payload, fmt, precision)
 
     @given(values=st.lists(cell_floats, min_size=1, max_size=8), precision=st.integers(1, 17))

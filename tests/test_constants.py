@@ -4,13 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from foamlab.constants import (
-    default_constants,
-    load_constants,
-    make_constants,
-    serialize_constants,
-    validate_constants,
-)
+from foamlab.constants import DEFAULT_CONSTANTS, load_constants, make_constants, validate_constants
 from foamlab.errors import ConfigError, DomainError
 
 # CODATA-2018 CGS Planck units, from sqrt(hbar*G/c^3) and friends.
@@ -20,7 +14,7 @@ M_PLANCK = 2.1764343420511264e-05
 
 
 def test_default_constants_codata_values():
-    cs = default_constants()
+    cs = DEFAULT_CONSTANTS
     assert cs.c == 2.99792458e10
     assert cs.hbar == 1.054571817e-27
     assert cs.G == 6.67430e-8
@@ -34,39 +28,39 @@ def test_default_constants_codata_values():
 
 
 def test_planck_unit_identities():
-    cs = default_constants()
+    cs = DEFAULT_CONSTANTS
     assert cs.t_planck * cs.c / cs.l_planck == pytest.approx(1.0, rel=1e-12, abs=0)
     assert cs.m_planck * cs.c**2 * cs.t_planck == pytest.approx(cs.hbar, rel=1e-12, abs=0)
     assert cs.l_planck == pytest.approx(math.sqrt(cs.hbar * cs.G / cs.c**3), rel=1e-12, abs=0)
 
 
 def test_validate_accepts_defaults_and_natural_units():
-    assert validate_constants(default_constants()) == []
+    assert validate_constants(DEFAULT_CONSTANTS) == []
     assert validate_constants(make_constants(1.0, 1.0, 1.0)) == []
 
 
 def test_validate_flags_doubled_planck_length():
-    broken = dataclasses.replace(default_constants(), l_planck=2 * L_PLANCK)
+    broken = dataclasses.replace(DEFAULT_CONSTANTS, l_planck=2 * L_PLANCK)
     violations = validate_constants(broken)
     assert len(violations) == 1
     assert "l_planck" in violations[0]
 
 
 def test_validate_flags_nonpositive_fields():
-    broken = dataclasses.replace(default_constants(), G=-1.0)
+    broken = dataclasses.replace(DEFAULT_CONSTANTS, G=-1.0)
     violations = validate_constants(broken)
     assert any("G" in v for v in violations)
 
 
 def test_validated_sets_satisfy_time_length_bridge():
-    for cs in (default_constants(), make_constants(1.0, 1.0, 1.0), make_constants(3.0, 0.5, 2.0)):
+    for cs in (DEFAULT_CONSTANTS, make_constants(1.0, 1.0, 1.0), make_constants(3.0, 0.5, 2.0)):
         assert validate_constants(cs) == []
         assert abs(cs.t_planck * cs.c - cs.l_planck) <= 1e-12 * cs.l_planck
 
 
 def test_load_empty_document_gives_defaults():
-    assert load_constants("") == default_constants()
-    assert load_constants("# only a comment\n\n") == default_constants()
+    assert load_constants("") == DEFAULT_CONSTANTS
+    assert load_constants("# only a comment\n\n") == DEFAULT_CONSTANTS
 
 
 def test_load_natural_units():
@@ -79,8 +73,8 @@ def test_load_natural_units():
 def test_load_partial_document_keeps_other_defaults():
     cs = load_constants("G = 6.674e-8  # override\n")
     assert cs.G == 6.674e-8
-    assert cs.c == default_constants().c
-    assert cs.hbar == default_constants().hbar
+    assert cs.c == DEFAULT_CONSTANTS.c
+    assert cs.hbar == DEFAULT_CONSTANTS.hbar
 
 
 def test_load_rejects_nonpositive_value():
@@ -109,8 +103,8 @@ def test_load_rejects_non_numeric_value():
 
 
 def test_serialize_round_trip_is_bit_exact():
-    cs = default_constants()
-    again = load_constants(serialize_constants(cs))
+    cs = DEFAULT_CONSTANTS
+    again = load_constants(f"c = {cs.c!r}\nhbar = {cs.hbar!r}\nG = {cs.G!r}\n")
     assert (again.c, again.hbar, again.G) == (cs.c, cs.hbar, cs.G)
 
 
@@ -120,13 +114,13 @@ def test_serialize_round_trip_is_bit_exact():
     G=st.floats(min_value=1e-15, max_value=1e5, allow_nan=False, allow_infinity=False),
 )
 def test_round_trip_property(c, hbar, G):
-    cs = make_constants(c, hbar, G)
-    again = load_constants(serialize_constants(cs))
-    assert (again.c, again.hbar, again.G) == (cs.c, cs.hbar, cs.G)
-    assert validate_constants(cs) == []
+    again = load_constants(f"# repr text\nc = {c!r}\nhbar = {hbar!r}\nG = {G!r}\n")
+    assert (again.c, again.hbar, again.G) == (c, hbar, G)
+    assert validate_constants(make_constants(c, hbar, G)) == []
 
 
 def test_make_constants_rejects_bad_inputs():
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
+    # c**3 overflows at 1e308 and underflows to zero at 1e-120.
+    for bad in (0.0, -1.0, float("nan"), float("inf"), 1e308, 1e-120):
         with pytest.raises(DomainError):
             make_constants(bad, 1.0, 1.0)

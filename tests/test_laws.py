@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from foamlab.constants import default_constants, make_constants
+from foamlab.constants import DEFAULT_CONSTANTS, make_constants
 from foamlab.errors import DomainError
 from foamlab.laws import UncertaintyLaw
 from foamlab.wigner import density_fluctuation
@@ -179,6 +179,6 @@ def test_law_works_in_natural_units():
 def test_law_rejects_invalid_constants():
     import dataclasses
 
-    broken = dataclasses.replace(default_constants(), m_planck=1.0)
+    broken = dataclasses.replace(DEFAULT_CONSTANTS, m_planck=1.0)
     with pytest.raises(DomainError, match="m_planck"):
         UncertaintyLaw(broken)

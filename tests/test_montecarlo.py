@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from foamlab.constants import default_constants
+from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
 from foamlab.laws import UncertaintyLaw
 from foamlab import montecarlo
@@ -50,7 +50,7 @@ class TestCovarianceConstruction:
         assert OUTER_CORRELATION == pytest.approx(-0.047359140442247316, rel=1e-12, abs=0)
 
     def test_sigma_matches_time_law(self):
-        cs = default_constants()
+        cs = DEFAULT_CONSTANTS
         cov = ngvandam_covariance(1.0, cs)
         sigma = UncertaintyLaw(cs).time_uncertainty(1.0 / cs.c)
         assert cov.sigma2 == pytest.approx(sigma**2, rel=1e-12, abs=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from foamlab.constants import default_constants
+from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
 from foamlab.wigner import (
     CURVATURE_NOISE_COEFF,
@@ -17,7 +17,6 @@ from foamlab.wigner import (
     estimate_curvature,
     fluctuation_profile,
     linearization_ok,
-    riemann_component,
     riemann_scalar_fluctuation,
     second_difference_variance,
 )
@@ -69,7 +68,7 @@ class TestEstimateCurvature:
         bump=st.floats(min_value=1e-6, max_value=0.1),
     )
     def test_linear_in_outer_times(self, t1, t3, bump):
-        cs = default_constants()
+        cs = DEFAULT_CONSTANTS
         base = estimate_curvature(PulseTriplet(t1, 1.0, t3), cs)
         bumped = estimate_curvature(PulseTriplet(t1 + bump, 1.0, t3), cs)
         assert bumped - base == pytest.approx(bump / (11.0 * cs.c), rel=1e-9, abs=0)
@@ -176,7 +175,7 @@ class TestClosedFormChain:
         assert abs(CURVATURE_NOISE_COEFF - 0.2498866) <= 1e-6
 
     def test_coefficient_extraction(self):
-        cs = default_constants()
+        cs = DEFAULT_CONSTANTS
         for l in (1e-5, 1.0, 1e5):
             extracted = curvature_uncertainty(l, cs) * l * (l / cs.l_planck) ** (2 / 3)
             assert extracted == pytest.approx(CURVATURE_NOISE_COEFF, rel=1e-12, abs=0)
@@ -189,14 +188,8 @@ class TestClosedFormChain:
             1 / 32, rel=1e-12, abs=0
         )
 
-    def test_riemann_component(self):
-        assert riemann_component(0.0) == 0.0
-        assert riemann_component(2.0) == 8.0
-        assert riemann_component(DELTA_C_1CM) == pytest.approx(2.368e-45, rel=1e-3, abs=0)
-        assert riemann_component(-3.0) == 18.0
-
     def test_riemann_scalar_fixed_point_and_value(self):
-        cs = default_constants()
+        cs = DEFAULT_CONSTANTS
         lp = cs.l_planck
         assert riemann_scalar_fluctuation(lp, cs) == pytest.approx(lp**-2, rel=1e-12, abs=0)
         assert riemann_scalar_fluctuation(1e-5, cs) == pytest.approx(DELTA_R_1E5, rel=1e-12, abs=0)
@@ -211,13 +204,13 @@ class TestClosedFormChain:
 
     @given(l=st.floats(min_value=1e-8, max_value=1e8))
     def test_density_two_form_identity(self, l):
-        cs = default_constants()
+        cs = DEFAULT_CONSTANTS
         direct = density_fluctuation(l, cs)
         via_scalar = (cs.c**2 / cs.G) * riemann_scalar_fluctuation(l, cs)
         assert via_scalar == pytest.approx(direct, rel=1e-12, abs=0)
 
     def test_scalar_to_curvature_ratio_is_constant(self):
-        cs = default_constants()
+        cs = DEFAULT_CONSTANTS
         ratios = [
             riemann_scalar_fluctuation(l, cs) / curvature_uncertainty(l, cs) ** 2
             for l in np.logspace(-3, 3, 13)
@@ -230,8 +223,6 @@ class TestClosedFormChain:
         for op in (curvature_uncertainty, riemann_scalar_fluctuation, density_fluctuation):
             with pytest.raises(DomainError):
                 op(bad)
-        with pytest.raises(DomainError):
-            riemann_component(float("nan"))
 
     @pytest.mark.parametrize("l", [5e-324, 1e-300, 1e-200, 1e300, 1.7e308])
     def test_unrepresentable_lengths_are_domain_errors(self, l):
@@ -243,7 +234,7 @@ class TestClosedFormChain:
 
 class TestProfile:
     def test_profile_matches_component_ops_bit_for_bit(self):
-        cs = default_constants()
+        cs = DEFAULT_CONSTANTS
         profile = fluctuation_profile(1e-5, cs)
         assert profile == FluctuationProfile(
             l=1e-5,
@@ -257,7 +248,7 @@ class TestProfile:
         assert profile.delta_c > 0 and profile.delta_r > 0 and profile.delta_rho > 0
 
     def test_linearization_flag(self):
-        cs = default_constants()
+        cs = DEFAULT_CONSTANTS
         assert linearization_ok(1.0, cs)
         assert linearization_ok(100.0 * cs.l_planck, cs)
         assert not linearization_ok(99.0 * cs.l_planck, cs)
