@@ -19,18 +19,23 @@ model's small-K response is
 and the regression slope is pinned against -l/11 as a toy-model value,
 not as a physical claim.
 
-Each outbound leg solves c (s - T) = xi(s) by a bracketing-safe
-bisection/secant hybrid to an absolute residual below 1e-13 * l; the
-return leg completes at s + xi(s)/c.  The weak-curvature guard
-|K| (l/2)^2 < 0.01 plus a simulated-window cap keep the outbound root
-unique and the mirror away from the clock.
+Each pulse is solved for its deviation delta from the flat leg l/(2c),
+not for its absolute flight time, whose leading digits the second
+difference would cancel.  With xi(s) - l/2 written without cancellation
+(-l sin^2(omega s/2) for K > 0, +l sinh^2(omega s/2) for K < 0, 0 for
+K = 0), delta is the fixed point of delta -> (xi(T + l/(2c) + delta) - l/2)/c,
+iterated from the previous pulse's delta until a step moves it by at most
+STEP_RTOL relative.  Each round trip is l/c + 2 delta, and the estimate
+takes its second difference from the deltas.  The weak-curvature guard
+|K| (l/2)^2 < 0.01 plus a simulated-window cap keep the mirror away from
+the clock and the map's slope below (l/2) sqrt|K| sinh(1) < 0.12.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
 
 from .constants import (
     DEFAULT_CONSTANTS,
@@ -41,12 +46,12 @@ from .constants import (
     require_positive_finite,
 )
 from .errors import ConsistencyError, DomainError
-from .wigner import PulseTriplet, estimate_curvature
+from .wigner import curvature_from_second_difference
 
 # Model validity guard and root-finder contract.
 CURVATURE_GUARD = 0.01          # |K| (l/2)^2 must stay below this
 WINDOW_GUARD = 1.0              # omega * (n_pulses + 1) * (l/c) must stay below this
-ROOT_RESIDUAL_RTOL = 1e-13      # |c (s - T) - xi(s)| < this * l
+STEP_RTOL = 4.0 * sys.float_info.epsilon  # stop once |delta_new - delta| <= this * |delta_new|
 MAX_ROOT_ITERATIONS = 200
 
 # Grid regime in which the fitted response is asserted linear to 1e-3.
@@ -85,11 +90,12 @@ class BounceModel:
 
 @dataclass(frozen=True)
 class BounceRecord:
-    """Simulated round trips, their emission epochs, and the estimate."""
+    """Round trips l/c + 2 delta, their emission epochs, the estimate, and each pulse's delta."""
 
     times: tuple[TimeInterval, ...]
     emission_epochs: tuple[TimeInterval, ...]
     estimated_curvature: float
+    deviations: tuple[TimeInterval, ...]
 
 
 @dataclass(frozen=True)
@@ -102,100 +108,62 @@ class ResponseReport:
     estimates: tuple[float, ...]
 
 
-def mirror_separation(model: BounceModel, t: TimeInterval) -> Length:
-    """Clock-mirror separation xi(t) at coordinate time t >= 0."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0):
-        raise DomainError(f"t must be a finite non-negative time, got {t!r}")
-    return _separation(model)(t)
-
-
-def _separation(model: BounceModel) -> Callable[[float], float]:
-    """xi(t) of the model, with its branch, omega and l/2 resolved once; t is not checked."""
-    half = model.l / 2.0
-    if model.k == 0:
-        return lambda t: half
-    omega = model.omega()
-    wave = math.cos if model.k > 0 else math.cosh
-    return lambda t: half * wave(omega * t)
-
-
 def simulate_round_trips(model: BounceModel, n_pulses: int) -> BounceRecord:
     """Simulate n_pulses consecutive round trips; estimate from the first three.
 
-    Pulse n leaves at epoch T_{n-1}, reaches the mirror at the root of
-    c (s - T_{n-1}) = xi(s), and returns at T_n = s + xi(s)/c.  The
-    projected window must stay inside the weak-curvature guard so the
-    outbound root is unique.
+    Pulse n leaves at epoch T_{n-1}, reaches the mirror after l/(2c) + delta_n,
+    where c delta_n = xi(s) - l/2 at s = T_{n-1} + l/(2c) + delta_n, and is
+    back at T_n = T_{n-1} + l/c + 2 delta_n.  The projected window must stay
+    inside the weak-curvature guard so the fixed-point map contracts.
     """
     if not (isinstance(n_pulses, int) and n_pulses >= 3):
         raise DomainError(f"n_pulses must be an integer >= 3, got {n_pulses!r}")
     cs = model.constants
+    leg = model.l / cs.c
+    # (xi(s) - l/2) / c = scale * wave(half_omega * s)**2, which is 0 for K = 0.
+    scale, half_omega, wave = 0.0, 0.0, math.sin
     if model.k != 0:
-        window = model.omega() * (n_pulses + 1) * (model.l / cs.c)
+        omega = model.omega()
+        window = omega * (n_pulses + 1) * leg
         if window > WINDOW_GUARD:
             raise DomainError(
                 f"simulated window omega*T = {window:.3e} exceeds the guard {WINDOW_GUARD}; "
                 "reduce n_pulses or |K|"
             )
-    xi = _separation(model)
+        scale, wave = (-leg, math.sin) if model.k > 0 else (leg, math.sinh)
+        half_omega = omega / 2.0
+    half_leg = model.l / (2.0 * cs.c)
     times: list[float] = []
     epochs: list[float] = []
-    epoch = 0.0
+    deviations: list[float] = []
+    epoch = delta = 0.0
     for _ in range(n_pulses):
         epochs.append(epoch)
-        outbound = _solve_outbound(xi, model.l, cs.c, epoch)
-        trip = outbound + xi(epoch + outbound) / cs.c
+        arrival = epoch + half_leg
+        for _ in range(MAX_ROOT_ITERATIONS):
+            step = scale * wave(half_omega * (arrival + delta)) ** 2
+            converged = abs(step - delta) <= STEP_RTOL * abs(step)
+            delta = step
+            if converged:
+                break
+        else:
+            raise DomainError(
+                f"outbound root did not converge within {MAX_ROOT_ITERATIONS} iterations "
+                f"(last deviation {delta!r} s)"
+            )
+        deviations.append(delta)
+        trip = leg + 2.0 * delta
         times.append(trip)
         epoch += trip
-    estimate = estimate_curvature(PulseTriplet(times[0], times[1], times[2]), cs)
-    return BounceRecord(
-        times=tuple(times), emission_epochs=tuple(epochs), estimated_curvature=estimate
-    )
-
-
-def solve_outbound(model: BounceModel, t_emit: TimeInterval) -> TimeInterval:
-    """One-way flight time u solving c u = xi(t_emit + u).
-
-    Bracketed on (0, 4 (l/2)/c), where the left end is below the root
-    (light has not reached the mirror) and the right end above it under
-    the guard; bisection with secant proposals converges to an absolute
-    residual below ROOT_RESIDUAL_RTOL * l.
-    """
-    def xi(t: float) -> float:
-        return mirror_separation(model, t)
-
-    return _solve_outbound(xi, model.l, model.constants.c, t_emit)
-
-
-def _solve_outbound(
-    xi: Callable[[float], float], l: Length, c: float, t_emit: TimeInterval
-) -> TimeInterval:
-    """solve_outbound for the separation xi; the pulse loop passes _separation's xi."""
-    half = l / 2.0
-    lo, hi = 0.0, 4.0 * half / c
-    gap_lo, gap_hi = c * lo - xi(t_emit + lo), c * hi - xi(t_emit + hi)
-    if not (gap_lo < 0.0 < gap_hi):
+    d1, d2, d3 = deviations[:3]
+    second_difference = 2.0 * ((d1 - d2) - (d2 - d3))
+    if model.k != 0 and not abs(second_difference) >= sys.float_info.min:
         raise DomainError(
-            "outbound bracket failure (mirror reached the clock within the window): "
-            f"gap({lo!r}) = {gap_lo!r}, gap({hi!r}) = {gap_hi!r}"
+            f"the second difference {second_difference!r} s at K = {model.k!r}/cm2, "
+            f"l = {model.l!r} cm is not a normal double; the estimate is unresolvable"
         )
-    tolerance = ROOT_RESIDUAL_RTOL * l
-    u = 0.5 * (lo + hi)
-    for _ in range(MAX_ROOT_ITERATIONS):
-        u = hi - gap_hi * (hi - lo) / (gap_hi - gap_lo)
-        if not (lo < u < hi):
-            u = 0.5 * (lo + hi)
-        gap_u = c * u - xi(t_emit + u)
-        if abs(gap_u) < tolerance:
-            return u
-        if gap_u < 0.0:
-            lo, gap_lo = u, gap_u
-        else:
-            hi, gap_hi = u, gap_u
-    raise DomainError(
-        f"outbound root did not converge within {MAX_ROOT_ITERATIONS} iterations "
-        f"(last residual {gap_u!r})"
-    )
+    estimate = curvature_from_second_difference(second_difference, times[1], cs)
+    return BounceRecord(tuple(times), tuple(epochs), estimate, tuple(deviations))
 
 
 def estimator_response(

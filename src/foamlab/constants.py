@@ -72,23 +72,34 @@ def require_representable(name: str, value: float, l: Length) -> float:
 def make_constants(c: float, hbar: float, G: float) -> ConstantSet:
     """Build a ConstantSet, deriving the Planck units from (c, hbar, G).
 
-    A c whose cube overflows, or underflows to zero, raises DomainError.
+    Each intermediate (c**3, hbar*G, hbar*c and the quotients under the
+    square roots) must be a normal double, else DomainError: a subnormal
+    one keeps too few bits, and zero or inf leaves a unit undefined.
     """
     for name, value in (("c", c), ("hbar", hbar), ("G", G)):
         require_positive_finite(name, value)
     try:
-        l_planck = math.sqrt(hbar * G / c**3)
-    except (OverflowError, ZeroDivisionError):
-        message = f"c = {c!r} takes c**3 out of the nonzero doubles; the Planck length is undefined"
-        raise DomainError(message) from None
+        cube = c**3
+    except OverflowError:
+        cube = math.inf
+    length2 = _normal("hbar*G", hbar * G) / _normal("c**3", cube)
+    mass2 = _normal("hbar*c", hbar * c) / G
+    l_planck = math.sqrt(_normal("hbar*G/c**3", length2))
     return ConstantSet(
         c=c,
         hbar=hbar,
         G=G,
         l_planck=l_planck,
         t_planck=l_planck / c,
-        m_planck=math.sqrt(hbar * c / G),
+        m_planck=math.sqrt(_normal("hbar*c/G", mass2)),
     )
+
+
+def _normal(name: str, value: float) -> float:
+    """value, if it is a normal double; DomainError naming the Planck-unit term otherwise."""
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise DomainError(f"{name} = {value!r} is not a normal double; the Planck units are undefined")
+    return value
 
 
 # CODATA-2018 constants in CGS with derived Planck units, built once.  The
@@ -101,9 +112,11 @@ def validate_constants(constants: ConstantSet) -> list[str]:
     """Check every ConstantSet invariant; return the violations found.
 
     Violations are data, not errors: the list is empty iff the set is
-    valid.  The cross-identity t_planck * c = l_planck is only reported
-    when the per-field derivations hold, so a single corrupted field
-    produces a single line naming it rather than a cascade.
+    valid.  Base constants whose Planck units make_constants cannot derive
+    give its DomainError message as the one violation.  The cross-identity
+    t_planck * c = l_planck is only reported when the per-field
+    derivations hold, so a single corrupted field produces a single line
+    naming it rather than a cascade.
     """
     violations: list[str] = []
     fields = (
@@ -121,9 +134,12 @@ def validate_constants(constants: ConstantSet) -> list[str]:
             violations.append(str(exc))
     if violations:
         return violations
+    try:
+        derived = make_constants(constants.c, constants.hbar, constants.G)
+    except DomainError as exc:
+        return [str(exc)]
 
-    l_derived = math.sqrt(constants.hbar * constants.G / constants.c**3)
-    m_derived = math.sqrt(constants.hbar * constants.c / constants.G)
+    l_derived, m_derived = derived.l_planck, derived.m_planck
     l_ok = abs(constants.l_planck - l_derived) <= PLANCK_LENGTH_RTOL * l_derived
     m_ok = abs(constants.m_planck - m_derived) <= PLANCK_MASS_RTOL * m_derived
     if not l_ok:

@@ -129,8 +129,19 @@ def estimate_curvature(
     """
     triplet.validate()
     second_difference = triplet.t1 - 2.0 * triplet.t2 + triplet.t3
+    return curvature_from_second_difference(second_difference, triplet.t2, constants)
+
+
+def curvature_from_second_difference(
+    second_difference: TimeInterval, t2: TimeInterval, constants: ConstantSet = DEFAULT_CONSTANTS
+) -> Curvature:
+    """estimate_curvature from a second difference t1 - 2 t2 + t3 known apart from the times.
+
+    t2 must be strictly positive and finite.  constants defaults to DEFAULT_CONSTANTS.
+    """
+    require_positive_finite("t2", t2)
     # Dividing by t2 twice: t2**2 underflows to zero below ~1e-162 s.
-    return second_difference / (11.0 * constants.c * triplet.t2) / triplet.t2
+    return second_difference / (11.0 * constants.c * t2) / t2
 
 
 def second_difference_variance(cov: TripletCovariance) -> float | np.ndarray:

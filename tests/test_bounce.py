@@ -1,18 +1,13 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from foamlab import bounce
-from foamlab.bounce import (
-    BounceModel,
-    estimator_response,
-    mirror_separation,
-    simulate_round_trips,
-    solve_outbound,
-)
+from foamlab.bounce import BounceModel, estimator_response, simulate_round_trips
 from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
-from foamlab.wigner import PulseTriplet, estimate_curvature
 
 C = DEFAULT_CONSTANTS.c
 
@@ -35,31 +30,6 @@ class TestModel:
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError):
                 BounceModel(k=0.0, l=bad)
-
-
-class TestMirrorSeparation:
-    def test_flat_space_is_constant(self):
-        model = BounceModel(k=0.0, l=2.0)
-        for t in (0.0, 1e-11, 5.0):
-            assert mirror_separation(model, t) == 1.0
-
-    def test_initial_condition_at_rest(self):
-        for k in (-1e-4, 0.0, 1e-4):
-            model = BounceModel(k=k, l=1.0)
-            assert mirror_separation(model, 0.0) == 0.5
-
-    def test_quarter_period_closes_the_gap(self):
-        model = BounceModel(k=1e-4, l=1.0)
-        quarter = math.pi / (2.0 * model.omega())
-        assert abs(mirror_separation(model, quarter)) < 1e-15 * model.l
-
-    def test_negative_curvature_grows(self):
-        model = BounceModel(k=-1e-4, l=1.0)
-        assert mirror_separation(model, 1e-9) > 0.5
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(DomainError):
-            mirror_separation(BounceModel(k=0.0, l=1.0), -1.0)
 
 
 class TestRoundTrips:
@@ -123,90 +93,78 @@ class TestRoundTrips:
             simulate_round_trips(BounceModel(k=0.0, l=1.0), 2)
 
 
+def displacement(model, s):
+    """xi(s) - l/2 at 40 digits, from the Taylor series of cos or cosh minus one."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x2 = (Decimal(model.omega()) * s) ** 2
+        sign = -1 if model.k > 0 else 1
+        term, total = Decimal(1), Decimal(0)
+        for n in range(1, 40):
+            term *= sign * x2 / ((2 * n - 1) * (2 * n))
+            total += term
+        return Decimal(model.l) / 2 * total
+
+
 class TestRootFinder:
+    """Each pulse's deviation delta is the fixed point c delta = xi(s) - l/2."""
+
+    @staticmethod
+    def assert_residual_is_a_few_ulps(model, n_pulses):
+        record = simulate_round_trips(model, n_pulses)
+        half_leg = Decimal(model.l) / (2 * Decimal(C))
+        for epoch, trip, delta in zip(record.emission_epochs, record.times, record.deviations):
+            assert trip == model.l / C + 2.0 * delta
+            s = Decimal(epoch) + half_leg + Decimal(delta)
+            expected = float(displacement(model, s) / Decimal(C))
+            assert abs(delta - expected) <= 16.0 * math.ulp(expected)
+
     @pytest.mark.parametrize("k", [0.0, 4e-6, -4e-6, 8e-3, -8e-3])
     def test_residual_contract(self, k):
-        model = BounceModel(k=k, l=1.0)
-        epoch = 0.0
-        for _ in range(3):
-            u = solve_outbound(model, epoch)
-            residual = abs(C * u - mirror_separation(model, epoch + u))
-            assert residual < 1e-13 * model.l
-            epoch += u + mirror_separation(model, epoch + u) / C
+        self.assert_residual_is_a_few_ulps(BounceModel(k=k, l=1.0), 10)
 
-    def test_bracket_straddles_root(self):
-        model = BounceModel(k=4e-6, l=1.0)
-        half = model.l / 2.0
-        assert C * 0.0 - mirror_separation(model, 0.0) < 0
-        hi = 4.0 * half / C
-        assert C * hi - mirror_separation(model, hi) > 0
-
-
-def reference_round_trips(model, n_pulses):
-    """The per-pulse loop with xi(t) and the gap evaluated afresh on every call.
-
-    simulate_round_trips resolves the model once per run; its times,
-    epochs and estimate must match this loop bit for bit.
-    """
-
-    def xi(t):
-        half = model.l / 2.0
-        if model.k > 0:
-            return half * math.cos(model.omega() * t)
-        if model.k < 0:
-            return half * math.cosh(model.omega() * t)
-        return half
-
-    def solve(t_emit):
-        def gap(u):
-            return C * u - xi(t_emit + u)
-
-        lo, hi = 0.0, 4.0 * (model.l / 2.0) / C
-        gap_lo, gap_hi = gap(lo), gap(hi)
-        assert gap_lo < 0.0 < gap_hi
-        for _ in range(bounce.MAX_ROOT_ITERATIONS):
-            u = hi - gap_hi * (hi - lo) / (gap_hi - gap_lo)
-            if not (lo < u < hi):
-                u = 0.5 * (lo + hi)
-            gap_u = gap(u)
-            if abs(gap_u) < bounce.ROOT_RESIDUAL_RTOL * model.l:
-                return u
-            if gap_u < 0.0:
-                lo, gap_lo = u, gap_u
-            else:
-                hi, gap_hi = u, gap_u
-        raise AssertionError("reference root did not converge")
-
-    times, epochs, epoch = [], [], 0.0
-    for _ in range(n_pulses):
-        epochs.append(epoch)
-        outbound = solve(epoch)
-        trip = outbound + xi(epoch + outbound) / C
-        times.append(trip)
-        epoch += trip
-    estimate = estimate_curvature(PulseTriplet(*times[:3]), model.constants)
-    return tuple(times), tuple(epochs), estimate
-
-
-class TestResolvedModel:
     # l = 0.1 keeps 2,000 pulses at |K| = 4e-6 inside the window guard.
-    @pytest.mark.parametrize("k", [4e-6, -4e-6, 0.0, 1e-9])
-    @pytest.mark.parametrize("l, n_pulses", [(1.0, 3), (0.1, 2000)])
-    def test_matches_reference_loop_bit_for_bit(self, k, l, n_pulses):
-        model = BounceModel(k=k, l=l)
-        record = simulate_round_trips(model, n_pulses)
-        times, epochs, estimate = reference_round_trips(model, n_pulses)
-        assert record.times == times
-        assert record.emission_epochs == epochs
-        assert record.estimated_curvature == estimate
+    @pytest.mark.parametrize("k, l", [(4e-6, 0.1), (-4e-6, 0.1), (1e-9, 1.0)])
+    def test_residual_contract_over_long_runs(self, k, l):
+        self.assert_residual_is_a_few_ulps(BounceModel(k=k, l=l), 2000)
+
+    # Stopping only when delta repeats exactly leaves some K in a last-bit
+    # 2-cycle: the last two here, and the first two under other rounding of
+    # the same map.  The relative step rule must end every pulse.
+    @pytest.mark.parametrize(
+        "k",
+        [
+            1.1241781305784196e-09, 8.007522770373264e-10,
+            8.868221790069522e-10, 9.821330880821531e-10,
+        ],
+    )
+    def test_last_bit_two_cycle_converges(self, k):
+        record = simulate_round_trips(BounceModel(k=k, l=1.0), 20000)
+        assert len(record.times) == 20000
+        assert abs(record.estimated_curvature / (-k / 11.0) - 1.0) <= 4.0 * k + 1e-12
+
+    @given(
+        strength=st.floats(-30.0, -4.0).map(lambda e: 10.0**e),
+        l=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    @example(strength=1e-20, l=1.0, sign=1.0)  # the estimate read exactly 0
+    @example(strength=1e-15, l=0.1, sign=1.0)  # K = 1e-13, once 21% off
+    def test_estimate_within_model_term(self, strength, l, sign):
+        k = sign * strength / l / l
+        estimate = simulate_round_trips(BounceModel(k=k, l=l), 3).estimated_curvature
+        assert abs(estimate / (-l * k / 11.0) - 1.0) <= 4.0 * abs(k) * l * l + 1e-12
+
+    @pytest.mark.parametrize("k, l", [(1e300, 1e-300), (1e-300, 1.0), (-1e-300, 1.0)])
+    def test_subnormal_second_difference_is_domain_error(self, k, l):
+        # K l^3 / c leaves the normal doubles; the deviations keep too few bits.
+        with pytest.raises(DomainError, match="unresolvable"):
+            simulate_round_trips(BounceModel(k=k, l=l), 3)
 
     def test_non_convergence_is_domain_error(self, monkeypatch):
         monkeypatch.setattr(bounce, "MAX_ROOT_ITERATIONS", 1)
-        model = BounceModel(k=4e-6, l=1.0)
         with pytest.raises(DomainError, match="did not converge within 1 iterations"):
-            simulate_round_trips(model, 3)
-        with pytest.raises(DomainError, match="did not converge within 1 iterations"):
-            solve_outbound(model, 0.0)
+            simulate_round_trips(BounceModel(k=4e-6, l=1.0), 3)
 
 
 class TestEstimatorResponse:

@@ -104,9 +104,9 @@ class TestExitCodes:
         assert code == 1
         assert "config" in err
 
-    @pytest.mark.parametrize("c", ["1e308", "1e-120"])
+    @pytest.mark.parametrize("c", ["1e308", "1e-120", "3e-108"])
     def test_config_outside_double_range_is_domain_error(self, run_cli, tmp_path, c):
-        # c**3 overflows at 1e308 and underflows to 0 at 1e-120.
+        # c**3 overflows at 1e308, underflows to 0 at 1e-120 and is subnormal at 3e-108.
         config = tmp_path / "extreme.conf"
         config.write_text(f"c = {c}\n")
         code, out, err = run_cli(["constants", "--config", str(config)])
@@ -261,6 +261,17 @@ whole_range_lengths = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(
 )
 
 
+# |K| l^2 of the curved bounce runs.  Below l ~ 1e-157 cm the curvature
+# overflows to inf, which the CLI rejects with one error line.
+CURVED_STRENGTH = 1e-6
+
+
+def curved_bounce(sign: float):
+    return lambda l: [
+        "bounce", f"--curvature={sign * CURVED_STRENGTH / l / l!r}", "--separation", repr(l)
+    ]
+
+
 class TestWholeRange:
     """Any positive length ends in a valid answer (exit 0) or one error line (exit 1)."""
 
@@ -268,9 +279,11 @@ class TestWholeRange:
         "command",
         [
             lambda l: ["fluct", "--length", repr(l)],
-            lambda l: ["bounce", "--curvature", "0", "--separation", repr(l)],
+            lambda l: ["bounce", "--curvature=0", "--separation", repr(l)],
+            curved_bounce(1.0),
+            curved_bounce(-1.0),
         ],
-        ids=["fluct", "flat_bounce"],
+        ids=["fluct", "flat_bounce", "curved_bounce", "anticurved_bounce"],
     )
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(l=whole_range_lengths)
@@ -279,7 +292,8 @@ class TestWholeRange:
     @example(l=1e155)
     @example(l=1e300)
     def test_exits_cleanly(self, run_cli, command, l):
-        code, out, err = run_cli(command(l) + ["--format", "json"])
+        argv = command(l)
+        code, out, err = run_cli(argv + ["--format", "json"])
         assert code in (0, 1)
         if code == 1:
             assert out == "" and err.startswith("foamlab: error:") and err.count("\n") == 1
@@ -287,6 +301,12 @@ class TestWholeRange:
             payload = json.loads(out)
             assert json.loads(json.dumps(payload, allow_nan=False)) == payload
             jsonschema.validate(payload, SCHEMA)
+            if argv[0] == "bounce":
+                # Within the model's 4 |K| l^2 of -lK/11, and rounded to 6 digits.
+                k = float(argv[1].removeprefix("--curvature="))
+                estimate = payload["rows"][-1]["value"]
+                tolerance = 4.0 * abs(k) * l * l + 5e-6
+                assert math.isclose(estimate, -l * k / 11.0, rel_tol=tolerance, abs_tol=0.0)
 
 
 # JSON leaves at the edges of json.dumps: escapes, line separators, signed

@@ -52,6 +52,13 @@ def test_validate_flags_nonpositive_fields():
     assert any("G" in v for v in violations)
 
 
+def test_validate_reports_underivable_planck_units():
+    # c**3 overflows at c = 1e200: a violation, not an OverflowError.
+    violations = validate_constants(dataclasses.replace(DEFAULT_CONSTANTS, c=1e200))
+    assert len(violations) == 1
+    assert "c**3" in violations[0]
+
+
 def test_validated_sets_satisfy_time_length_bridge():
     for cs in (DEFAULT_CONSTANTS, make_constants(1.0, 1.0, 1.0), make_constants(3.0, 0.5, 2.0)):
         assert validate_constants(cs) == []
@@ -120,7 +127,7 @@ def test_round_trip_property(c, hbar, G):
 
 
 def test_make_constants_rejects_bad_inputs():
-    # c**3 overflows at 1e308 and underflows to zero at 1e-120.
-    for bad in (0.0, -1.0, float("nan"), float("inf"), 1e308, 1e-120):
+    # c**3 overflows at 1e308, underflows to zero at 1e-120 and is subnormal at 3e-108.
+    for bad in (0.0, -1.0, float("nan"), float("inf"), 1e308, 1e-120, 3e-108):
         with pytest.raises(DomainError):
             make_constants(bad, 1.0, 1.0)
