@@ -44,6 +44,7 @@ from .constants import (
     Length,
     TimeInterval,
     require_positive_finite,
+    require_representable,
 )
 from .errors import ConsistencyError, DomainError
 from .wigner import curvature_from_second_difference
@@ -119,7 +120,7 @@ def simulate_round_trips(model: BounceModel, n_pulses: int) -> BounceRecord:
     if not (isinstance(n_pulses, int) and n_pulses >= 3):
         raise DomainError(f"n_pulses must be an integer >= 3, got {n_pulses!r}")
     cs = model.constants
-    leg = model.l / cs.c
+    leg = require_representable("the flat round trip l/c", model.l / cs.c, model.l)
     # (xi(s) - l/2) / c = scale * wave(half_omega * s)**2, which is 0 for K = 0.
     scale, half_omega, wave = 0.0, 0.0, math.sin
     if model.k != 0:

@@ -155,10 +155,18 @@ class TestRootFinder:
         estimate = simulate_round_trips(BounceModel(k=k, l=l), 3).estimated_curvature
         assert abs(estimate / (-l * k / 11.0) - 1.0) <= 4.0 * abs(k) * l * l + 1e-12
 
-    @pytest.mark.parametrize("k, l", [(1e300, 1e-300), (1e-300, 1.0), (-1e-300, 1.0)])
-    def test_subnormal_second_difference_is_domain_error(self, k, l):
-        # K l^3 / c leaves the normal doubles; the deviations keep too few bits.
-        with pytest.raises(DomainError, match="unresolvable"):
+    # A subnormal l/c, or a second difference K l^3 / c below the normal
+    # doubles, keeps too few bits for the trips or the estimate.
+    @pytest.mark.parametrize(
+        "k, l, match",
+        [
+            (0.0, 1e-313, "representable"), (1e300, 1e-300, "representable"),
+            (1e100, 1e-200, "unresolvable"), (1e-300, 1.0, "unresolvable"),
+            (-1e-300, 1.0, "unresolvable"),
+        ],
+    )
+    def test_subnormal_times_are_domain_errors(self, k, l, match):
+        with pytest.raises(DomainError, match=match):
             simulate_round_trips(BounceModel(k=k, l=l), 3)
 
     def test_non_convergence_is_domain_error(self, monkeypatch):

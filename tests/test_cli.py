@@ -287,6 +287,7 @@ class TestWholeRange:
     )
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(l=whole_range_lengths)
+    @example(l=1e-313)
     @example(l=1e-300)
     @example(l=1e-200)
     @example(l=1e155)
