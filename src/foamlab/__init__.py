@@ -6,9 +6,14 @@ clock-mirror curvature protocol to curvature and energy-density
 fluctuations, verifies the closed forms by seeded Monte Carlo sampling,
 and exercises the estimator end to end in a toy constant-curvature
 bounce simulator.  Everything works in CGS units (cm, g, s).
+
+`import foamlab` does not load NumPy.  The names of the two modules that
+need it, montecarlo and report, are imported on first access.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .constants import (
     ConstantSet,
@@ -29,9 +34,26 @@ from .wigner import (
     riemann_scalar_fluctuation,
     second_difference_variance,
 )
-from .montecarlo import McConfig, McResult, ngvandam_covariance, verify_curvature_uncertainty
 from .bounce import BounceModel, BounceRecord, estimator_response, simulate_round_trips
-from .report import ClaimReport, ClaimRow, build_claim_report
+
+# Public name: the submodule that defines it and loads NumPy on import.
+_LAZY = {
+    "McConfig": "montecarlo",
+    "McResult": "montecarlo",
+    "ngvandam_covariance": "montecarlo",
+    "verify_curvature_uncertainty": "montecarlo",
+    "ClaimReport": "report",
+    "ClaimRow": "report",
+    "build_claim_report": "report",
+}
+
+
+def __getattr__(name: str):
+    """The montecarlo and report names, imported on first access (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "__version__",

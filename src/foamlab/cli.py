@@ -26,8 +26,6 @@ from . import __version__
 from .constants import DEFAULT_CONSTANTS, load_constants, validate_constants
 from .errors import ConfigError, ConsistencyError, DomainError
 from .laws import UncertaintyLaw
-from .montecarlo import McConfig, verify_curvature_uncertainty
-from .report import ClaimRow, build_claim_report
 from .wigner import fluctuation_profile, linearization_ok
 from . import bounce
 
@@ -266,6 +264,9 @@ def _cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
     samples=_integer("N"), seed=_integer("S"), partitions=_integer("P", 1),
 )
 def _cmd_mc(args: argparse.Namespace) -> dict[str, Any]:
+    # Imported here, not at module level: montecarlo loads NumPy, which no other command needs.
+    from .montecarlo import McConfig, verify_curvature_uncertainty
+
     result = verify_curvature_uncertainty(
         McConfig(args.length, args.samples, args.seed, args.partitions)
     )
@@ -306,6 +307,8 @@ def _cmd_bounce(args: argparse.Namespace) -> dict[str, Any]:
     seed=_integer("S", 42), samples=_integer("N", 1_000_000), partitions=_integer("P", 1),
 )
 def _cmd_report(args: argparse.Namespace) -> dict[str, Any]:
+    from .report import ClaimRow, build_claim_report  # loads NumPy; see _cmd_mc
+
     report = build_claim_report(seed=args.seed, samples=args.samples, partitions=args.partitions)
     names = [field.name for field in fields(ClaimRow)]
     columns = [[getattr(row, name) for row in report.rows] for name in names]

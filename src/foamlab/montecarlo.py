@@ -188,7 +188,7 @@ def verify_curvature_uncertainty(
     def run() -> list[Moments]:
         if workers == 1:
             return list(map(block, indices, sizes))
-        # Imported here, not at module level: it adds ~8 ms to every CLI start.
+        # Imported here, not at module level: it adds ~8 ms to every `mc` and `report` start.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .constants import (
     DEFAULT_CONSTANTS,
@@ -41,6 +39,9 @@ from .constants import (
     require_representable,
 )
 from .errors import ConsistencyError, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Ratio Var(t1 - 2 t2 + t3) / sigma^2 implied by the cube-root law applied
 # to overlapping intervals, and the resulting prefactor of delta_C.
@@ -87,11 +88,15 @@ class TripletCovariance:
 
     def matrix(self) -> np.ndarray:
         """The matrix, or a stack of shape (..., 3, 3) for array fields."""
+        import numpy as np  # here, not at module level: the closed forms run without NumPy
+
         s, c12, c23, c13 = np.broadcast_arrays(self.sigma2, self.cov12, self.cov23, self.cov13)
         rows = (s, c12, c13, c12, s, c23, c13, c23, s)
         return np.stack(rows, axis=-1).reshape(s.shape + (3, 3))
 
     def validate(self) -> None:
+        import numpy as np
+
         matrix = self.matrix()
         if not np.isfinite(matrix).all():
             entries = (self.sigma2, self.cov12, self.cov23, self.cov13)
@@ -158,6 +163,8 @@ def second_difference_variance(cov: TripletCovariance) -> float | np.ndarray:
     ConsistencyError.  Scalar fields give a float; array fields give the
     elementwise variances, and any one element that disagrees raises.
     """
+    import numpy as np
+
     cov.validate()
     direct = (
         6.0 * cov.sigma2
@@ -218,7 +225,9 @@ def density_fluctuation(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -
     """
     require_positive_finite("l", l)
     scale = (constants.hbar / constants.c) * constants.l_planck ** (-2.0 / 3.0)
-    direct = _evaluate("delta_rho", l, lambda: scale * l ** (-10.0 / 3.0))
+    # l^(-10/3) as two powers, scale taken first: l**(-10/3) alone overflows below
+    # l ~ 3.3e-93 cm, where the product still fits in a double.
+    direct = _evaluate("delta_rho", l, lambda: scale * l ** (-5.0 / 3.0) * l ** (-5.0 / 3.0))
     via_scalar = (constants.c**2 / constants.G) * riemann_scalar_fluctuation(l, constants)
     if abs(direct - via_scalar) > _ROUTE_RTOL * direct:
         raise ConsistencyError(

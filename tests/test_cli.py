@@ -272,6 +272,15 @@ def curved_bounce(sign: float):
     ]
 
 
+def assert_fluct_matches_reference(payload, l: float, sweep_references) -> None:
+    """Each printed fluct row is the log-space reference at l, to 6 significant digits."""
+    references = sweep_references[("fluct", "--length")]
+    for row in payload["rows"]:
+        reference = math.exp(references[row["quantity"]](math.log(l)))
+        # Half a unit in the 6th digit, plus the reference's own rounding.
+        assert math.isclose(row["value"], reference, rel_tol=5e-6 + 1e-12, abs_tol=0.0)
+
+
 class TestWholeRange:
     """Any positive length ends in a valid answer (exit 0) or one error line (exit 1)."""
 
@@ -292,7 +301,7 @@ class TestWholeRange:
     @example(l=1e-200)
     @example(l=1e155)
     @example(l=1e300)
-    def test_exits_cleanly(self, run_cli, command, l):
+    def test_exits_cleanly(self, run_cli, sweep_references, command, l):
         argv = command(l)
         code, out, err = run_cli(argv + ["--format", "json"])
         assert code in (0, 1)
@@ -308,6 +317,18 @@ class TestWholeRange:
                 estimate = payload["rows"][-1]["value"]
                 tolerance = 4.0 * abs(k) * l * l + 5e-6
                 assert math.isclose(estimate, -l * k / 11.0, rel_tol=tolerance, abs_tol=0.0)
+            else:
+                assert_fluct_matches_reference(payload, l, sweep_references)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(l=st.floats(math.log10(7.1e-98), math.log10(3.3e-93)).map(lambda e: 10.0**e))
+    @example(l=7.1e-98)
+    @example(l=3.3e-93)
+    def test_fluct_density_beyond_its_power_overflow(self, run_cli, sweep_references, l):
+        # delta_rho fits in a double here although l**(-10/3) alone overflows.
+        code, out, err = run_cli(["fluct", "--length", repr(l), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert_fluct_matches_reference(json.loads(out), l, sweep_references)
 
 
 # JSON leaves at the edges of json.dumps: escapes, line separators, signed
@@ -605,3 +626,42 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "max_length" in proc.stdout
+
+
+NUMPY_FREE_COMMANDS = ["uncertainty", "clock-mass", "fluct", "threshold", "constants", "bounce"]
+
+# Runs in a fresh interpreter: this process has NumPy loaded already.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import foamlab, foamlab.cli
+loaded = {"import": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert foamlab.cli.main(argv) == 0, argv
+    loaded[argv[0]] = "numpy" in sys.modules
+import foamlab.montecarlo
+loaded["montecarlo"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_free_commands_do_not_load_numpy():
+    argvs = [SAMPLE_INVOCATIONS[name] for name in NUMPY_FREE_COMMANDS]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, check=True, cwd=REPO_ROOT,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    expected = {"import": False, **dict.fromkeys(NUMPY_FREE_COMMANDS, False), "montecarlo": True}
+    assert json.loads(proc.stdout) == expected
+
+
+def test_public_names_resolve_to_their_submodule():
+    import foamlab
+
+    for name in foamlab.__all__:
+        if name != "__version__":
+            value = getattr(foamlab, name)
+            assert value is getattr(sys.modules[value.__module__], name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        foamlab.no_such_name

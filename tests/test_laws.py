@@ -1,8 +1,5 @@
-import importlib.util
 import math
 import operator
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -19,20 +16,6 @@ DELTA_T_1S = 1.4271165960353683e-29
 CLOCK_MASS_1CM = 1854565.9169408667
 CLOCK_MASS_LIGHT_SECOND = 5761286646.320204
 MAX_LENGTH_1E29 = 10523.850254061477
-
-
-def _benchmark_workloads():
-    """perfbench/workloads.py, whose log-space CODATA references the benchmark checks against."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses resolve annotations through sys.modules
-    spec.loader.exec_module(module)
-    return module
-
-
-# ln(max_length) as a function of ln(rho_max), with no intermediate that can underflow.
-LN_MAX_LENGTH = _benchmark_workloads()._SWEEP_QUERIES[("threshold", "--density")]["max_length"]
 
 
 @pytest.fixture(scope="module")
@@ -104,20 +87,45 @@ def test_max_length_for_density_values(law):
     assert law.max_length_for_density(11.86) == pytest.approx(1e-5, rel=2e-3, abs=0)
 
 
-@given(
-    rho=st.floats(math.log10(5e-324), math.log10(1.7e308)).map(
-        lambda exponent: max(10.0**exponent, 5e-324)
-    )
+# Log-uniform over every positive double, 5e-324 ... 1.7e308.
+whole_range = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(
+    lambda exponent: max(10.0**exponent, 5e-324)
 )
+
+
+@given(rho=whole_range)
 @example(rho=5e-324)
 @example(rho=1e292)
 @example(rho=1e305)
 @example(rho=1.7e308)
-def test_max_length_for_density_whole_range(rho):
+def test_max_length_for_density_whole_range(sweep_references, rho):
     # (scale / rho) ** 0.3 went subnormal above rho ~ 1e292 and printed 0.0 at 1.7e308.
     law = UncertaintyLaw()
-    reference = math.exp(LN_MAX_LENGTH(math.log(rho)))
+    ln_max_length = sweep_references[("threshold", "--density")]["max_length"]
+    reference = math.exp(ln_max_length(math.log(rho)))
     assert abs(law.max_length_for_density(rho) / reference - 1.0) < 1e-12
+
+
+@given(l=whole_range)
+@example(l=7.1e-98)
+@example(l=1e-95)
+@example(l=3.3e-93)
+@example(l=1e79)
+def test_density_fluctuation_whole_range(sweep_references, l):
+    # scale * l**(-10/3) overflowed below l ~ 3.3e-93 cm, where delta_rho still fits in a double.
+    references = sweep_references[("fluct", "--length")]
+    ln_l = math.log(l)
+    # The c^2/G form goes through delta_R, so both must be normal doubles, here with a margin.
+    normal = all(
+        math.log(3e-308) < references[name](ln_l) < math.log(1.7e308)
+        for name in ("delta_r", "delta_rho")
+    )
+    try:
+        rho = density_fluctuation(l)
+    except DomainError:
+        assert not normal
+        return
+    assert abs(rho / math.exp(references["delta_rho"](ln_l)) - 1.0) < 1e-12
 
 
 @given(l=st.floats(min_value=1e-8, max_value=1e8, allow_nan=False, allow_infinity=False))
