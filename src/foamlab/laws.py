@@ -61,7 +61,9 @@ class UncertaintyLaw:
     def clock_mass(self, l: Length) -> Mass:
         """Optimal clock mass m = m_planck * (l / l_planck)^(1/3)."""
         require_positive_finite("l", l)
-        return self.constants.m_planck * (l / self.constants.l_planck) ** (1.0 / 3.0)
+        cs = self.constants
+        # Powered apart: the quotient l / l_planck overflows above l ~ 2.9e275 cm.
+        return cs.m_planck * l ** (1.0 / 3.0) * cs.l_planck ** (-1.0 / 3.0)
 
     def max_length_for_density(self, rho_max: MassDensity) -> Length:
         """Largest averaging length whose density fluctuation stays below rho_max.

@@ -10,9 +10,9 @@ symmetry cov12 = cov23, pins a unique covariance for (t1, t2, t3):
 
 ngvandam_covariance builds that matrix, and verify_curvature_uncertainty
 samples it to reproduce the closed-form noise empirically.  The law only
-fixes first and second moments; samples are drawn multivariate Gaussian
-(the maximum-entropy choice, and any distribution with these moments
-gives the same second-difference variance).
+fixes first and second moments; samples are Gaussian (the maximum-entropy
+choice, and any distribution with these moments gives the same
+second-difference variance).
 
 Numerical note: at laboratory scales the fluctuations sit ~22 orders of
 magnitude below the mean flight time, so mean + delta would round to the
@@ -20,12 +20,18 @@ mean exactly in double precision.  Samples are therefore generated and
 analysed in fluctuation space (zero-mean deltas); the second difference
 annihilates the common mean anyway.
 
+One normal per sample: a sample's second difference is z . (F^T w), with
+z three standard normals, F F^T the covariance and w = (1, -2, 1).  That
+is exactly N(0, |F^T w|^2), so each sample is drawn as one standard normal
+scaled by |F^T w|.  The scale is taken from the factor F, not from the
+closed form w^T cov w, so the run still checks F along w against it.
+
 Streaming: the n samples are split into fixed blocks of BLOCK_ROWS rows.
-Block b draws standard normals z from NumPy PCG64 seeded with
-SeedSequence(seed, spawn_key=(b,)), in chunks of CHUNK_ROWS rows from that
-one generator, which yields the same stream as one whole-block draw.  Each
-chunk goes straight to its second differences z @ (F^T w), with F F^T the
-covariance and w = (1, -2, 1), and is reduced to (count, mean, M2).  Chunks
+Block b draws standard normals from NumPy PCG64 seeded with
+SeedSequence(seed, spawn_key=(b,)), in chunks of CHUNK_ROWS from that one
+generator, which yields the same stream as one whole-block draw.  Each
+chunk is scaled in place to its second differences and reduced to
+(count, mean, M2), so a sample takes 8 bytes of working memory.  Chunks
 merge in order within a block, and blocks merge in block order, by the
 pairwise update of Chan, Golub & LeVeque (1979).  Memory is O(chunk), not
 O(n).
@@ -75,7 +81,6 @@ OUTER_CORRELATION = (3.0 ** (2.0 / 3.0) - 3.0) / 2.0 - (2.0 ** (2.0 / 3.0) - 2.0
 
 BLOCK_ROWS = 1_000_000
 CHUNK_ROWS = 1 << 16
-SECOND_DIFFERENCE = np.array([1.0, -2.0, 1.0])
 
 # (count, mean, M2): M2 is the sum of squared deviations from the mean.
 Moments = tuple[int, float, float]
@@ -154,13 +159,14 @@ def verify_curvature_uncertainty(
 ) -> McResult:
     """Empirically reproduce the closed-form curvature noise at config.l.
 
-    Streams Gaussian triplets of the cube-root covariance (or cov_override,
-    a test hook) through the second difference, block by block as the
-    module docstring describes, and compares the sample variance against
-    the closed form.  The empirical delta_C uses the linearized estimator
-    sqrt(Var) * c / (11 l^2).  A delta_C that is not a normal double at
-    config.l, or a covariance whose second difference has no variance,
-    raises DomainError.  constants defaults to DEFAULT_CONSTANTS.
+    Streams the second differences of Gaussian triplets of the cube-root
+    covariance (or cov_override, a test hook), one normal per sample and
+    block by block as the module docstring describes, and compares the
+    sample variance against the closed form.  The empirical delta_C uses
+    the linearized estimator sqrt(Var) * c / (11 l^2).  A delta_C that is
+    not a normal double at config.l, or a covariance whose second
+    difference has no variance, raises DomainError.  constants defaults
+    to DEFAULT_CONSTANTS.
 
     alongside, if given, is called once on the calling thread while the
     blocks compute on one helper thread (which runs the pool, if there is
@@ -179,7 +185,7 @@ def verify_curvature_uncertainty(
         raise DomainError(
             f"second-difference variance must be positive, got {closed_form_variance!r}"
         )
-    block = functools.partial(_block_moments, config.seed, _psd_factor(cov).T @ SECOND_DIFFERENCE)
+    block = functools.partial(_block_moments, config.seed, _second_difference_scale(cov))
     n = config.n_samples
     sizes = [min(BLOCK_ROWS, n - start) for start in range(0, n, BLOCK_ROWS)]
     indices = range(len(sizes))
@@ -241,28 +247,30 @@ def _beside(alongside: Callable[[], None], work: Callable[[], list[Moments]]) ->
     return outcome[0]
 
 
-def _block_moments(seed: int, projection: np.ndarray, index: int, rows: int) -> Moments:
+def _block_moments(seed: int, scale: float, index: int, rows: int) -> Moments:
     """Moments of the second differences of block `index`, drawn chunk by chunk.
 
     Runs on worker threads, so it calls only private helpers and NumPy
     (perfbench/spans.py wraps public names with a span stack that is not
     thread-safe).  NumPy releases the GIL in the normal fill and the
-    matrix product, so blocks overlap on separate cores.
+    array passes, so blocks overlap on separate cores.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     chunks = (
-        _chunk_moments(rng.standard_normal((min(CHUNK_ROWS, rows - start), 3)) @ projection)
+        _chunk_moments(rng.standard_normal(min(CHUNK_ROWS, rows - start)), scale)
         for start in range(0, rows, CHUNK_ROWS)
     )
     return functools.reduce(_combine, chunks)
 
 
-def _chunk_moments(diffs: np.ndarray) -> Moments:
-    mean = float(diffs.mean())
-    deviations = diffs - mean
+def _chunk_moments(draws: np.ndarray, scale: float) -> Moments:
+    """(count, mean, M2) of the second differences draws * scale, worked out in place."""
+    draws *= scale
+    mean = float(draws.mean())
+    draws -= mean
     # einsum, not a BLAS dot: OpenBLAS's threaded ddot made two worker
     # threads run one after the other (no speed-up at two workers).
-    return len(diffs), mean, float(np.einsum("i,i->", deviations, deviations))
+    return len(draws), mean, float(np.einsum("i,i->", draws, draws))
 
 
 def _combine(a: Moments, b: Moments) -> Moments:
@@ -276,6 +284,12 @@ def _combine(a: Moments, b: Moments) -> Moments:
         mean_a + delta * count_b / count,
         m2_a + m2_b + delta * delta * count_a * count_b / count,
     )
+
+
+def _second_difference_scale(cov: TripletCovariance) -> float:
+    """|F^T w|, the standard deviation of t1 - 2 t2 + t3, from the factor F of cov."""
+    factor = _psd_factor(cov)
+    return math.hypot(*(factor[0] - 2.0 * factor[1] + factor[2]))
 
 
 def _psd_factor(cov: TripletCovariance) -> np.ndarray:

@@ -34,6 +34,7 @@ from .montecarlo import McConfig, eigenvalues, ngvandam_covariance, verify_curva
 from .wigner import (
     CURVATURE_NOISE_COEFF,
     TripletCovariance,
+    _density_forms,
     curvature_uncertainty,
     density_fluctuation,
     second_difference_variance,
@@ -425,8 +426,7 @@ def _slice_identity_gap(raw: np.ndarray) -> float:
 
 
 def _density_two_form_gap(l: float, cs: ConstantSet) -> float:
-    direct = (cs.hbar / cs.c) * cs.l_planck ** (-2.0 / 3.0) * l ** (-10.0 / 3.0)
-    via_scalar = (cs.c**2 / cs.G) * (1.0 / l**2) * (cs.l_planck / l) ** (4.0 / 3.0)
+    direct, via_scalar = _density_forms(l, cs)
     return abs(direct - via_scalar) / direct
 
 

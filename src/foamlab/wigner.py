@@ -217,18 +217,18 @@ def density_fluctuation(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -
     """Energy-density fluctuation (hbar/c) * l_planck^(-2/3) * l^(-10/3) in g/cm^3.
 
     Order-of-magnitude law with coefficient exactly 1.  Also evaluated as
-    (c^2/G) * riemann_scalar_fluctuation(l); the two forms are the same
+    (c^2/G) times the Riemann-scalar law; the two forms are the same
     identity through l_planck^2 = hbar G / c^3 and must agree to 1e-12
     relative, else ConsistencyError.  constants defaults to
-    DEFAULT_CONSTANTS.  A form that is not a normal double raises
-    DomainError.
+    DEFAULT_CONSTANTS.  A result that is not a normal double raises
+    DomainError; delta_R itself need not be one.
     """
     require_positive_finite("l", l)
-    scale = (constants.hbar / constants.c) * constants.l_planck ** (-2.0 / 3.0)
-    # l^(-10/3) as two powers, scale taken first: l**(-10/3) alone overflows below
-    # l ~ 3.3e-93 cm, where the product still fits in a double.
-    direct = _evaluate("delta_rho", l, lambda: scale * l ** (-5.0 / 3.0) * l ** (-5.0 / 3.0))
-    via_scalar = (constants.c**2 / constants.G) * riemann_scalar_fluctuation(l, constants)
+    try:
+        direct, via_scalar = _density_forms(l, constants)
+    except OverflowError:
+        raise DomainError(f"delta_rho at l = {l!r} cm overflows a double") from None
+    require_representable("delta_rho", direct, l)
     if abs(direct - via_scalar) > _ROUTE_RTOL * direct:
         raise ConsistencyError(
             f"density fluctuation forms disagree: {direct!r} vs {via_scalar!r}"
@@ -257,6 +257,22 @@ def linearization_ok(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> b
     constants defaults to DEFAULT_CONSTANTS.
     """
     return l >= LINEARIZATION_MIN_PLANCK * constants.l_planck
+
+
+def _density_forms(l: Length, constants: ConstantSet) -> tuple[float, float]:
+    """delta_rho as (hbar/c) l_planck^(-2/3) l^(-10/3), and as (c^2/G) delta_R.
+
+    Each product is taken in an order that keeps every intermediate a
+    normal double wherever delta_rho is one: l^(-10/3) as two powers with
+    the scale taken first (l**(-10/3) alone overflows below l ~ 3.3e-93 cm),
+    and c^2/G applied before the small factors of delta_R (which is
+    subnormal from l ~ 1e80 cm, where delta_rho still fits).
+    """
+    cs = constants
+    scale = (cs.hbar / cs.c) * cs.l_planck ** (-2.0 / 3.0)
+    direct = scale * l ** (-5.0 / 3.0) * l ** (-5.0 / 3.0)
+    via_scalar = cs.c**2 / cs.G / l / l * (cs.l_planck / l) ** (4.0 / 3.0)
+    return direct, via_scalar
 
 
 def _evaluate(name: str, l: Length, formula: Callable[[], float]) -> float:

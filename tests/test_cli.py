@@ -81,7 +81,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_overflowing_result_is_domain_error(self, run_cli, fmt):
-        code, out, err = run_cli(["clock-mass", "--length", "1e308", "--format", fmt])
+        # delta_rho = 1.72e308 rounds to 2e308, past the largest double, at one digit.
+        argv = ["fluct", "--length", "7.1e-98", "--precision", "1", "--format", fmt]
+        code, out, err = run_cli(argv)
         assert code == 1
         assert out == ""
         assert err.startswith("foamlab: error:") and err.count("\n") == 1
@@ -272,9 +274,10 @@ def curved_bounce(sign: float):
     ]
 
 
-def assert_fluct_matches_reference(payload, l: float, sweep_references) -> None:
-    """Each printed fluct row is the log-space reference at l, to 6 significant digits."""
-    references = sweep_references[("fluct", "--length")]
+def assert_matches_reference(payload, argv, l: float, sweep_references) -> None:
+    """Each printed row of `argv[0] argv[1] l` is the log-space reference at l, to 6 digits."""
+    references = sweep_references[(argv[0], argv[1])]
+    assert [row["quantity"] for row in payload["rows"]] == list(references)
     for row in payload["rows"]:
         reference = math.exp(references[row["quantity"]](math.log(l)))
         # Half a unit in the 6th digit, plus the reference's own rounding.
@@ -288,11 +291,12 @@ class TestWholeRange:
         "command",
         [
             lambda l: ["fluct", "--length", repr(l)],
+            lambda l: ["clock-mass", "--length", repr(l)],
             lambda l: ["bounce", "--curvature=0", "--separation", repr(l)],
             curved_bounce(1.0),
             curved_bounce(-1.0),
         ],
-        ids=["fluct", "flat_bounce", "curved_bounce", "anticurved_bounce"],
+        ids=["fluct", "clock_mass", "flat_bounce", "curved_bounce", "anticurved_bounce"],
     )
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(l=whole_range_lengths)
@@ -307,6 +311,12 @@ class TestWholeRange:
         assert code in (0, 1)
         if code == 1:
             assert out == "" and err.startswith("foamlab: error:") and err.count("\n") == 1
+            if argv[0] != "bounce":
+                # Refused only where some printed quantity is not a normal double
+                # (1e-6 relative within the range counts as its edge).
+                references = sweep_references[(argv[0], argv[1])].values()
+                ln_min, ln_max = math.log(sys.float_info.min), math.log(sys.float_info.max)
+                assert not all(ln_min + 1e-6 < ln(math.log(l)) < ln_max - 1e-6 for ln in references)
         else:
             payload = json.loads(out)
             assert json.loads(json.dumps(payload, allow_nan=False)) == payload
@@ -318,7 +328,7 @@ class TestWholeRange:
                 tolerance = 4.0 * abs(k) * l * l + 5e-6
                 assert math.isclose(estimate, -l * k / 11.0, rel_tol=tolerance, abs_tol=0.0)
             else:
-                assert_fluct_matches_reference(payload, l, sweep_references)
+                assert_matches_reference(payload, argv, l, sweep_references)
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(l=st.floats(math.log10(7.1e-98), math.log10(3.3e-93)).map(lambda e: 10.0**e))
@@ -326,9 +336,10 @@ class TestWholeRange:
     @example(l=3.3e-93)
     def test_fluct_density_beyond_its_power_overflow(self, run_cli, sweep_references, l):
         # delta_rho fits in a double here although l**(-10/3) alone overflows.
-        code, out, err = run_cli(["fluct", "--length", repr(l), "--format", "json"])
+        argv = ["fluct", "--length", repr(l)]
+        code, out, err = run_cli(argv + ["--format", "json"])
         assert (code, err) == (0, "")
-        assert_fluct_matches_reference(json.loads(out), l, sweep_references)
+        assert_matches_reference(json.loads(out), argv, l, sweep_references)
 
 
 # JSON leaves at the edges of json.dumps: escapes, line separators, signed

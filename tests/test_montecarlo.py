@@ -17,10 +17,16 @@ from foamlab.montecarlo import (
     McConfig,
     eigenvalues,
     _psd_factor,
+    _second_difference_scale,
     ngvandam_covariance,
     verify_curvature_uncertainty,
 )
-from foamlab.wigner import VARIANCE_RATIO, TripletCovariance, curvature_uncertainty
+from foamlab.wigner import (
+    VARIANCE_RATIO,
+    TripletCovariance,
+    curvature_uncertainty,
+    second_difference_variance,
+)
 
 CORRELATION = TripletCovariance(
     sigma2=1.0,
@@ -110,6 +116,26 @@ class TestSampling:
         matrix = cov.matrix()
         assert np.max(np.abs(factor @ factor.T - matrix)) <= 1e-12 * np.max(np.abs(matrix))
 
+    @pytest.mark.parametrize(
+        "cov, cholesky",
+        [
+            (ngvandam_covariance(1.0), True),
+            # t2 = -t1, t3 = t1: rank one, so Cholesky fails and _psd_factor
+            # takes its eigh branch, but t1 - 2 t2 + t3 = 4 t1 has variance 16.
+            (TripletCovariance(sigma2=1.0, cov12=-1.0, cov23=-1.0, cov13=1.0), False),
+        ],
+        ids=["cube-root", "alternating"],
+    )
+    def test_scale_squared_is_second_difference_variance(self, cov, cholesky):
+        try:
+            np.linalg.cholesky(cov.matrix())
+        except np.linalg.LinAlgError:
+            assert not cholesky
+        else:
+            assert cholesky
+        variance = second_difference_variance(cov)
+        assert abs(_second_difference_scale(cov) ** 2 - variance) <= 8 * math.ulp(variance)
+
     def test_rejects_indefinite_covariance(self):
         bad = TripletCovariance(sigma2=1.0, cov12=-0.8, cov23=-0.8, cov13=-0.8)
         with pytest.raises(DomainError, match="eigenvalue"):
@@ -155,6 +181,13 @@ class TestVerification:
         assert result.empirical_delta_c == pytest.approx(
             result.closed_form_delta_c, rel=0.01, abs=0
         )
+
+    @pytest.mark.parametrize("seed", range(100, 105))
+    def test_relative_error_within_seven_sigma(self, seed):
+        # Each sample is one Gaussian, so the sample variance has relative SE sqrt(2/(n-1)).
+        n = 100_000
+        result = verify_curvature_uncertainty(McConfig(l=1.0, n_samples=n, seed=seed))
+        assert result.relative_error <= 7 * math.sqrt(2 / (n - 1))
 
     def test_closed_form_delta_c_bit_identical_to_law(self):
         result = verify_curvature_uncertainty(McConfig(l=1.0, n_samples=100, seed=5))
