@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import (
     DEFAULT_CONSTANTS,
@@ -43,6 +43,7 @@ from .constants import (
     Curvature2,
     Length,
     TimeInterval,
+    checked_record,
     require_positive_finite,
     require_representable,
 )
@@ -62,35 +63,34 @@ LINEARITY_ASSERT_GUARD = 3e-5
 LINEARITY_MAX_RESIDUAL = 1e-3
 
 
-@dataclass(frozen=True)
-class BounceModel:
+class BounceModel(checked_record("BounceModel", "k l constants")):
     """Constant sectional curvature K (1/cm^2) and clock-mirror setup.
 
     constants defaults to DEFAULT_CONSTANTS.
     """
 
-    k: Curvature2
-    l: Length
-    constants: ConstantSet = DEFAULT_CONSTANTS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_positive_finite("l", self.l)
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k)):
-            raise DomainError(f"K must be a finite curvature, got {self.k!r}")
+    def __new__(
+        cls, k: Curvature2, l: Length, constants: ConstantSet = DEFAULT_CONSTANTS
+    ) -> BounceModel:
+        require_positive_finite("l", l)
+        if not (isinstance(k, (int, float)) and math.isfinite(k)):
+            raise DomainError(f"K must be a finite curvature, got {k!r}")
         # Left to right, never (l/2)**2: K = 0 gives 0 and a huge l gives
         # inf, where the power would raise OverflowError above ~1e154 cm.
-        strength = abs(self.k) * (self.l / 2.0) * (self.l / 2.0)
+        strength = abs(k) * (l / 2.0) * (l / 2.0)
         if strength >= CURVATURE_GUARD:
             raise DomainError(
                 f"|K| (l/2)^2 = {strength:.3e} violates the weak-curvature guard {CURVATURE_GUARD}"
             )
+        return super().__new__(cls, k, l, constants)
 
     def omega(self) -> float:
         return self.constants.c * math.sqrt(abs(self.k))
 
 
-@dataclass(frozen=True)
-class BounceRecord:
+class BounceRecord(NamedTuple):
     """Round trips l/c + 2 delta, their emission epochs, the estimate, and each pulse's delta."""
 
     times: tuple[TimeInterval, ...]
@@ -99,8 +99,7 @@ class BounceRecord:
     deviations: tuple[TimeInterval, ...]
 
 
-@dataclass(frozen=True)
-class ResponseReport:
+class ResponseReport(NamedTuple):
     """Linear-response fit of the estimator over a curvature grid."""
 
     slope: float
@@ -187,12 +186,7 @@ def estimator_response(
         raise DomainError(f"need at least 5 grid points, got {len(ks)}")
     nonzero = [abs(k) for k in ks if k != 0.0]
     if not nonzero:
-        return ResponseReport(
-            slope=0.0,
-            max_relative_residual=0.0,
-            k_grid=tuple(ks),
-            estimates=tuple(0.0 for _ in ks),
-        )
+        return ResponseReport(0.0, 0.0, tuple(ks), tuple(0.0 for _ in ks))
     if max(nonzero) / min(nonzero) < 10.0 * (1.0 - 1e-12):
         raise DomainError(
             f"grid must span at least a decade in |K|; got {min(nonzero):.3e}..{max(nonzero):.3e}"
@@ -214,9 +208,4 @@ def estimator_response(
         raise ConsistencyError(
             f"estimator response is not linear in K: max relative residual {max_residual:.3e}"
         )
-    return ResponseReport(
-        slope=slope,
-        max_relative_residual=max_residual,
-        k_grid=tuple(ks),
-        estimates=tuple(estimates),
-    )
+    return ResponseReport(slope, max_residual, tuple(ks), tuple(estimates))

@@ -5,7 +5,8 @@ RFC-4180-style CSV, or a single JSON object; the three renderings carry
 the same numeric values at the selected precision.  Quantities accept an
 optional unit suffix glued to the number (`1e-5cm`, `2.5s`,
 `1e-29g/cm3`, and `4e-61/cm2`, which is 4e-6 with the `1/cm2` suffix);
-no locale-dependent parsing.  Exit status: 0 on success, 2 on usage
+no locale-dependent parsing.  A negative quantity may follow its option
+after a space as after `=`.  Exit status: 0 on success, 2 on usage
 errors, 1 on domain errors (message on stderr).
 """
 
@@ -17,7 +18,6 @@ import functools
 import io
 import math
 import sys
-from dataclasses import asdict, fields
 from json import dumps
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable, Sequence
@@ -138,9 +138,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_quantities(argv: Sequence[str]) -> list[str]:
+    """argv with `--option -VALUE` as `--option=-VALUE` for the subcommand's quantity options.
+
+    argparse takes a token such as -4e-6 or -1cm for an option, since it
+    knows only plain decimals like -4 as negative numbers, so
+    `--curvature -4e-6` would fail where `--curvature=-4e-6` parses.  A
+    quantity never starts with "--", so such a token is left as the next option.
+    """
+    spellings = _QUANTITY_SPELLINGS.get(argv[0] if argv else "", ())
+    joined = list(argv[:1])
+    for token in argv[1:]:
+        if joined[-1] in spellings and token[:1] == "-" != token[1:2]:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_negative_quantities(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
@@ -205,7 +224,7 @@ def _cmd_constants(args: argparse.Namespace) -> dict[str, Any]:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
         constants = load_constants(text)
-    values = asdict(constants)
+    values = constants._asdict()
     columns = [list(values), list(values.values()), [_CONSTANT_UNITS[name] for name in values]]
     return {
         "command": "constants",
@@ -310,9 +329,28 @@ def _cmd_report(args: argparse.Namespace) -> dict[str, Any]:
     from .report import ClaimRow, build_claim_report  # loads NumPy; see _cmd_mc
 
     report = build_claim_report(seed=args.seed, samples=args.samples, partitions=args.partitions)
-    names = [field.name for field in fields(ClaimRow)]
-    columns = [[getattr(row, name) for row in report.rows] for name in names]
-    return {"command": "report", **asdict(report), "rows": _Table(names, columns), "warnings": []}
+    rows = _Table(list(ClaimRow._fields), list(zip(*report.rows)))
+    # _asdict is shallow, so the constants block is turned into a dict here: a JSON object.
+    payload = {**report._asdict(), "constants": report.constants._asdict(), "rows": rows}
+    return {"command": "report", **payload, "warnings": []}
+
+
+def _quantity_spellings(options: dict[str, dict[str, Any]]) -> frozenset[str]:
+    """Each `--name` that argparse reads as one of these quantity options.
+
+    That is the option's full name, or a prefix of it that no other option
+    of the subcommand, --format, --precision and --help included, starts with.
+    """
+    names = ["--format", "--precision", "--help", *(f"--{option}" for option in options)]
+    quantities = [f"--{o}" for o, kw in options.items() if isinstance(kw.get("type"), _Quantity)]
+    return frozenset(
+        name[:end] for name in quantities for end in range(3, len(name) + 1)
+        if end == len(name) or [n for n in names if n.startswith(name[:end])] == [name]
+    )
+
+
+# subcommand: the spellings of its quantity options, for _join_negative_quantities.
+_QUANTITY_SPELLINGS = {name: _quantity_spellings(opts) for name, (_, opts, _) in _COMMANDS.items()}
 
 
 # ---------------------------------------------------------------------------

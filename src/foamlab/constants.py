@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import ConfigError, DomainError
 
@@ -44,8 +45,7 @@ PLANCK_MASS_RTOL = 1e-9
 _CONFIG_KEYS = ("c", "hbar", "G")
 
 
-@dataclass(frozen=True)
-class ConstantSet:
+class ConstantSet(NamedTuple):
     """Immutable bundle of base constants and derived Planck units (CGS)."""
 
     c: float
@@ -60,6 +60,16 @@ def require_positive_finite(name: str, value: float) -> None:
     """The toolkit's one input check: value must be a finite int or float above 0."""
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be a strictly positive finite number, got {value!r}")
+
+
+def checked_record(typename: str, field_names: str) -> type:
+    """A namedtuple base for a record whose subclass checks its fields in __new__.
+
+    _make builds through cls(...), so _replace cannot skip the check.
+    """
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
 def require_representable(name: str, value: float, l: Length) -> float:
@@ -85,14 +95,8 @@ def make_constants(c: float, hbar: float, G: float) -> ConstantSet:
     length2 = _normal("hbar*G", hbar * G) / _normal("c**3", cube)
     mass2 = _normal("hbar*c", hbar * c) / G
     l_planck = math.sqrt(_normal("hbar*G/c**3", length2))
-    return ConstantSet(
-        c=c,
-        hbar=hbar,
-        G=G,
-        l_planck=l_planck,
-        t_planck=l_planck / c,
-        m_planck=math.sqrt(_normal("hbar*c/G", mass2)),
-    )
+    m_planck = math.sqrt(_normal("hbar*c/G", mass2))
+    return ConstantSet(c, hbar, G, l_planck, l_planck / c, m_planck)
 
 
 def _normal(name: str, value: float) -> float:
@@ -119,15 +123,7 @@ def validate_constants(constants: ConstantSet) -> list[str]:
     naming it rather than a cascade.
     """
     violations: list[str] = []
-    fields = (
-        ("c", constants.c),
-        ("hbar", constants.hbar),
-        ("G", constants.G),
-        ("l_planck", constants.l_planck),
-        ("t_planck", constants.t_planck),
-        ("m_planck", constants.m_planck),
-    )
-    for name, value in fields:
+    for name, value in constants._asdict().items():
         try:
             require_positive_finite(name, value)
         except DomainError as exc:

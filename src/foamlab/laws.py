@@ -18,8 +18,6 @@ the `sub_planck_*` helpers back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .constants import (
     DEFAULT_CONSTANTS,
     ConstantSet,
@@ -27,26 +25,27 @@ from .constants import (
     Mass,
     MassDensity,
     TimeInterval,
+    checked_record,
     require_positive_finite,
     validate_constants,
 )
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class UncertaintyLaw:
+class UncertaintyLaw(checked_record("UncertaintyLaw", "constants")):
     """Cube-root uncertainty laws over an immutable ConstantSet.
 
     All methods are pure; instances are safe to share between tasks.
     constants defaults to the shared CODATA-2018 set, DEFAULT_CONSTANTS.
     """
 
-    constants: ConstantSet = DEFAULT_CONSTANTS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        violations = validate_constants(self.constants)
+    def __new__(cls, constants: ConstantSet = DEFAULT_CONSTANTS) -> UncertaintyLaw:
+        violations = validate_constants(constants)
         if violations:
             raise DomainError("invalid constants: " + "; ".join(violations))
+        return super().__new__(cls, constants)
 
     def length_uncertainty(self, l: Length) -> Length:
         """delta_l = l_planck^(2/3) * l^(1/3); fixed point at l = l_planck."""

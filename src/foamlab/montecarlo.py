@@ -57,7 +57,7 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +86,7 @@ CHUNK_ROWS = 1 << 16
 Moments = tuple[int, float, float]
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(NamedTuple):
     """Sampling parameters for one verification run.
 
     n_partitions caps the block worker threads; results do not depend on
@@ -111,8 +110,7 @@ class McConfig:
             raise DomainError(f"n_partitions must be a positive integer, got {self.n_partitions!r}")
 
 
-@dataclass(frozen=True)
-class McResult:
+class McResult(NamedTuple):
     """Empirical versus closed-form second-difference statistics.
 
     closed_form_variance is second_difference_variance of the sampled

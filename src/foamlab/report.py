@@ -22,12 +22,12 @@ randomness drawn from the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .constants import DEFAULT_CONSTANTS, ConstantSet
+from .constants import DEFAULT_CONSTANTS, ConstantSet, checked_record
 from .errors import DomainError
 from .laws import UncertaintyLaw
 from .montecarlo import McConfig, eigenvalues, ngvandam_covariance, verify_curvature_uncertainty
@@ -54,8 +54,7 @@ _IDENTITY_SLICE = 1_000
 _EXPECTED_EIGENVALUES = (1.269025, 1.047359, 0.683618)
 
 
-@dataclass(frozen=True)
-class ClaimRow:
+class ClaimRow(NamedTuple):
     claim_id: str
     description: str
     published_value: str
@@ -66,21 +65,19 @@ class ClaimRow:
     basis: str
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(checked_record("ClaimReport", "version seed samples partitions constants rows")):
     """Claim rows plus the provenance needed to reproduce them."""
 
-    version: str
-    seed: int
-    samples: int
-    partitions: int
-    constants: ConstantSet
-    rows: tuple[ClaimRow, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ids = [row.claim_id for row in self.rows]
+    def __new__(
+        cls, version: str, seed: int, samples: int, partitions: int, constants: ConstantSet,
+        rows: tuple[ClaimRow, ...],
+    ) -> ClaimReport:
+        ids = [row.claim_id for row in rows]
         if len(ids) != len(set(ids)):
             raise DomainError(f"claim ids are not unique: {ids!r}")
+        return super().__new__(cls, version, seed, samples, partitions, constants, rows)
 
 
 def build_claim_report(
@@ -106,17 +103,10 @@ def build_claim_report(
         tolerance: str,
         basis: str,
     ) -> None:
+        status = "reproduced" if ok else "unreproduced"
         rows.append(
-            ClaimRow(
-                claim_id=claim_id,
-                description=description,
-                published_value=published_value,
-                computed_value=computed_value,
-                unit=unit,
-                status="reproduced" if ok else "unreproduced",
-                tolerance=tolerance,
-                basis=basis,
-            )
+            ClaimRow(claim_id, description, published_value, computed_value, unit, status,
+                     tolerance, basis)
         )
 
     # Clock masses from the cube-root law.
@@ -356,14 +346,7 @@ def build_claim_report(
         "closed-form",
     )
 
-    return ClaimReport(
-        version=__version__,
-        seed=seed,
-        samples=samples,
-        partitions=partitions,
-        constants=constants,
-        rows=tuple(rows),
-    )
+    return ClaimReport(__version__, seed, samples, partitions, constants, tuple(rows))
 
 
 def _max_identity_gap(seed: int) -> float:

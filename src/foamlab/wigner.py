@@ -24,8 +24,7 @@ user-facing output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .constants import (
     DEFAULT_CONSTANTS,
@@ -58,8 +57,7 @@ PSD_RTOL = 1e-12
 _ROUTE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PulseTriplet:
+class PulseTriplet(NamedTuple):
     """Three successive round-trip flight times (seconds)."""
 
     t1: TimeInterval
@@ -71,8 +69,7 @@ class PulseTriplet:
             require_positive_finite(name, value)
 
 
-@dataclass(frozen=True)
-class TripletCovariance:
+class TripletCovariance(NamedTuple):
     """3x3 covariance of (t1, t2, t3) with equal diagonal entries.
 
     Units are time^2.  cov12/cov23 are the adjacent covariances, cov13
@@ -112,8 +109,7 @@ class TripletCovariance:
             )
 
 
-@dataclass(frozen=True)
-class FluctuationProfile:
+class FluctuationProfile(NamedTuple):
     """delta_C, delta_R and delta_rho evaluated at one averaging length."""
 
     l: Length

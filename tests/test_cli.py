@@ -146,6 +146,56 @@ class TestQuantityParsing:
         assert code == 0
         assert json.loads(out)["params"]["curvature"] == 4e-6
 
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            (["bounce", "--separation", "1cm"], "--curvature", "-4e-6"),
+            (["bounce", "--separation", "1cm"], "--curvature", "-4e-61/cm2"),
+            (["bounce", "--separation", "1cm"], "--curvature", "-4"),
+            (["bounce", "--curvature", "4e-6"], "--separation", "-1cm"),
+            (["uncertainty"], "--length", "-1e-5cm"),
+            (["uncertainty"], "--time", "-2.5s"),
+            (["clock-mass"], "--length", "-1e-5"),
+            (["fluct"], "--length", "-1cm"),
+            (["threshold"], "--density", "-1e-29g/cm3"),
+            (["mc", "--samples", "10", "--seed", "1"], "--length", "-1e-3cm"),
+            (["fluct"], "--len", "-1cm"),
+            (["bounce", "--separation", "1cm"], "--curv", "-4e-6"),
+            (["fluct"], "--length", "-inf"),
+            (["fluct"], "--length", "-abc"),
+        ],
+    )
+    def test_negative_value_after_a_space(self, run_cli, command, option, value):
+        # argparse takes -4e-6 or -1cm for an option; both spellings must parse alike.
+        spaced = run_cli(command + [option, value, "--format", "json"])
+        joined = run_cli(command + [f"{option}={value}", "--format", "json"])
+        assert spaced == joined
+
+    def test_negative_curvature_after_a_space_is_answered(self, run_cli):
+        argv = ["bounce", "--curvature", "-4e-6", "--separation", "1cm", "--format", "json"]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert json.loads(out)["params"]["curvature"] == -4e-6
+
+    def test_option_after_a_quantity_option_is_still_a_usage_error(self, run_cli):
+        code, out, err = run_cli(["fluct", "--length", "--format", "json"])
+        assert (code, out) == (2, "")
+        assert "--length: expected one argument" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["constants", "--c", "-x"], "--config"),
+            (["mc", "--length", "1cm", "--samples", "10", "--se", "-1e3"], "--seed"),
+            (["mc", "--length", "1cm", "--samples", "10", "--seed", "1", "--p", "-1"], None),
+        ],
+    )
+    def test_negative_value_after_another_option_is_left_to_argparse(self, run_cli, argv, option):
+        # Only the parsed subcommand's quantity options, under a prefix that is theirs alone, join.
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert (f"{option}: expected one argument" if option else "ambiguous option") in err
+
 
 class TestValues:
     def test_fluct_water_density(self, run_cli):
@@ -274,29 +324,52 @@ def curved_bounce(sign: float):
     ]
 
 
+def printed_references(argv, sweep_references) -> dict:
+    """quantity: its log-space reference, for the rows of `argv` that have one.
+
+    mc has no sweep entry; its closed-form delta_C is the one fluct prints.
+    """
+    if argv[0] == "mc":
+        return {"closed_form_delta_c": sweep_references[("fluct", "--length")]["delta_c"]}
+    return sweep_references[(argv[0], argv[1])]
+
+
 def assert_matches_reference(payload, argv, l: float, sweep_references) -> None:
-    """Each printed row of `argv[0] argv[1] l` is the log-space reference at l, to 6 digits."""
-    references = sweep_references[(argv[0], argv[1])]
-    assert [row["quantity"] for row in payload["rows"]] == list(references)
-    for row in payload["rows"]:
+    """Each printed row of `argv[0] argv[1] l` is the log-space reference at l, to 6 digits.
+
+    mc prints its estimates too; only its row with a reference is checked.
+    """
+    references = printed_references(argv, sweep_references)
+    rows = payload["rows"]
+    if argv[0] == "mc":
+        rows = [row for row in rows if row["quantity"] in references]
+    assert [row["quantity"] for row in rows] == list(references)
+    for row in rows:
         reference = math.exp(references[row["quantity"]](math.log(l)))
         # Half a unit in the 6th digit, plus the reference's own rounding.
         assert math.isclose(row["value"], reference, rel_tol=5e-6 + 1e-12, abs_tol=0.0)
 
 
 class TestWholeRange:
-    """Any positive length ends in a valid answer (exit 0) or one error line (exit 1)."""
+    """Any positive input ends in a valid answer (exit 0) or one error line (exit 1)."""
 
     @pytest.mark.parametrize(
         "command",
         [
+            lambda l: ["uncertainty", "--length", repr(l)],
+            lambda l: ["uncertainty", "--time", repr(l)],
             lambda l: ["fluct", "--length", repr(l)],
             lambda l: ["clock-mass", "--length", repr(l)],
+            lambda l: ["threshold", "--density", repr(l)],
+            lambda l: ["mc", "--length", repr(l), "--samples", "2000", "--seed", "7"],
             lambda l: ["bounce", "--curvature=0", "--separation", repr(l)],
             curved_bounce(1.0),
             curved_bounce(-1.0),
         ],
-        ids=["fluct", "clock_mass", "flat_bounce", "curved_bounce", "anticurved_bounce"],
+        ids=[
+            "uncertainty_length", "uncertainty_time", "fluct", "clock_mass", "threshold", "mc",
+            "flat_bounce", "curved_bounce", "anticurved_bounce",
+        ],
     )
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(l=whole_range_lengths)
@@ -314,7 +387,7 @@ class TestWholeRange:
             if argv[0] != "bounce":
                 # Refused only where some printed quantity is not a normal double
                 # (1e-6 relative within the range counts as its edge).
-                references = sweep_references[(argv[0], argv[1])].values()
+                references = printed_references(argv, sweep_references).values()
                 ln_min, ln_max = math.log(sys.float_info.min), math.log(sys.float_info.max)
                 assert not all(ln_min + 1e-6 < ln(math.log(l)) < ln_max - 1e-6 for ln in references)
         else:
@@ -641,15 +714,21 @@ def test_module_entry_point_smoke():
 
 NUMPY_FREE_COMMANDS = ["uncertainty", "clock-mass", "fluct", "threshold", "constants", "bounce"]
 
-# Runs in a fresh interpreter: this process has NumPy loaded already.
+# Runs in a fresh interpreter: this process has NumPy loaded already.  Each
+# step lists which of the modules that start-up leaves out are loaded, so
+# a cost moved from the import into the first command shows too.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
-import foamlab, foamlab.cli
-loaded = {"import": "numpy" in sys.modules}
+def heavy():
+    return [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+import foamlab
+loaded = {"foamlab": heavy()}
+import foamlab.cli
+loaded["foamlab.cli"] = heavy()
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert foamlab.cli.main(argv) == 0, argv
-    loaded[argv[0]] = "numpy" in sys.modules
+    loaded[argv[0]] = heavy()
 import foamlab.montecarlo
 loaded["montecarlo"] = "numpy" in sys.modules
 print(json.dumps(loaded))
@@ -663,7 +742,8 @@ def test_numpy_free_commands_do_not_load_numpy():
         capture_output=True, text=True, check=True, cwd=REPO_ROOT,
         env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
     )
-    expected = {"import": False, **dict.fromkeys(NUMPY_FREE_COMMANDS, False), "montecarlo": True}
+    steps = ["foamlab", "foamlab.cli", *NUMPY_FREE_COMMANDS]
+    expected = {**dict.fromkeys(steps, []), "montecarlo": True}
     assert json.loads(proc.stdout) == expected
 
 

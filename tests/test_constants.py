@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -40,21 +39,21 @@ def test_validate_accepts_defaults_and_natural_units():
 
 
 def test_validate_flags_doubled_planck_length():
-    broken = dataclasses.replace(DEFAULT_CONSTANTS, l_planck=2 * L_PLANCK)
+    broken = DEFAULT_CONSTANTS._replace(l_planck=2 * L_PLANCK)
     violations = validate_constants(broken)
     assert len(violations) == 1
     assert "l_planck" in violations[0]
 
 
 def test_validate_flags_nonpositive_fields():
-    broken = dataclasses.replace(DEFAULT_CONSTANTS, G=-1.0)
+    broken = DEFAULT_CONSTANTS._replace(G=-1.0)
     violations = validate_constants(broken)
     assert any("G" in v for v in violations)
 
 
 def test_validate_reports_underivable_planck_units():
     # c**3 overflows at c = 1e200: a violation, not an OverflowError.
-    violations = validate_constants(dataclasses.replace(DEFAULT_CONSTANTS, c=1e200))
+    violations = validate_constants(DEFAULT_CONSTANTS._replace(c=1e200))
     assert len(violations) == 1
     assert "c**3" in violations[0]
 

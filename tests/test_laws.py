@@ -185,8 +185,6 @@ def test_law_works_in_natural_units():
 
 
 def test_law_rejects_invalid_constants():
-    import dataclasses
-
-    broken = dataclasses.replace(DEFAULT_CONSTANTS, m_planck=1.0)
+    broken = DEFAULT_CONSTANTS._replace(m_planck=1.0)
     with pytest.raises(DomainError, match="m_planck"):
         UncertaintyLaw(broken)
