@@ -37,17 +37,18 @@ pairwise update of Chan, Golub & LeVeque (1979).  Memory is O(chunk), not
 O(n).
 
 Determinism: results depend on (seed, n_samples) only.  n_partitions caps
-the worker threads that compute blocks, at min(n_partitions, os.cpu_count(),
-number of blocks), with no pool at all for one worker.  It never changes
-what is drawn or the merge order, so results are bit-identical across
-partition counts.  Block keys stay below the report's batch key 1_000_003
-(report._max_identity_gap) for n_samples below about 1e12.
+the threads that compute blocks at min(n_partitions, os.cpu_count(),
+number of blocks), the calling thread counting as one of them, so one
+worker starts no thread.  It never changes what is drawn or the merge
+order, so results are bit-identical across partition counts.  Block keys
+stay below the report's batch key 1_000_003 (report._max_identity_gap)
+for n_samples below about 1e12.
 
-Overlap: a caller may pass independent work as `alongside`, which runs on
-the calling thread while one helper thread computes the blocks (through
-the pool, with more than one worker); the report checks its identity batch
-this way.  Worker threads call only private helpers and NumPy, and every
-public call stays on the calling thread.
+Overlap: a caller may pass independent work as `alongside`, which the
+calling thread runs in place of its share of the blocks, so the blocks
+run on that many worker threads beside it; the report checks its
+identity batch this way.  Worker threads call only private helpers and
+NumPy, and every public call stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -89,10 +90,9 @@ Moments = tuple[int, float, float]
 class McConfig(NamedTuple):
     """Sampling parameters for one verification run.
 
-    n_partitions caps the block worker threads; results do not depend on
-    it.  With one worker the blocks run on the calling thread, unless the
-    call passes `alongside` work, when they run on one helper thread
-    beside it.
+    n_partitions caps the threads that compute blocks; results do not
+    depend on it.  The calling thread is one of them, unless the call
+    passes `alongside` work, which it runs in place of its share.
     """
 
     l: Length
@@ -142,12 +142,6 @@ def ngvandam_covariance(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -
     )
 
 
-def eigenvalues(cov: TripletCovariance) -> tuple[float, float, float]:
-    """Eigenvalues of the covariance matrix, descending."""
-    values = np.linalg.eigvalsh(cov.matrix())
-    return (float(values[2]), float(values[1]), float(values[0]))
-
-
 def verify_curvature_uncertainty(
     config: McConfig,
     constants: ConstantSet = DEFAULT_CONSTANTS,
@@ -166,17 +160,20 @@ def verify_curvature_uncertainty(
     difference has no variance, raises DomainError.  constants defaults
     to DEFAULT_CONSTANTS.
 
-    alongside, if given, is called once on the calling thread while the
-    blocks compute on one helper thread (which runs the pool, if there is
-    one), so independent NumPy work overlaps the sampling on a second core.
-    An exception from either side is raised here once every thread has
-    joined.
+    The blocks compute on min(n_partitions, os.cpu_count(), blocks)
+    threads, the calling thread among them.  alongside, if given, is
+    called once on the calling thread in place of its share of the blocks,
+    so independent NumPy work overlaps the sampling on another core.  An
+    exception from alongside, or else the first from a block, is raised
+    here once every thread has joined.
     """
     config.validate()
-    cov = cov_override if cov_override is not None else ngvandam_covariance(config.l, constants)
     if config.n_samples < 2:
         raise DomainError("n_samples must be at least 2 to estimate a variance")
+    # Before the covariance, whose t = l/c underflows to 0 where delta_C overflows,
+    # so the error names l.
     closed_form_delta_c = curvature_uncertainty(config.l, constants)
+    cov = cov_override if cov_override is not None else ngvandam_covariance(config.l, constants)
     # Validates cov; _psd_factor relies on that.
     closed_form_variance = second_difference_variance(cov)
     if not closed_form_variance > 0:
@@ -186,19 +183,31 @@ def verify_curvature_uncertainty(
     block = functools.partial(_block_moments, config.seed, _second_difference_scale(cov))
     n = config.n_samples
     sizes = [min(BLOCK_ROWS, n - start) for start in range(0, n, BLOCK_ROWS)]
-    indices = range(len(sizes))
     workers = min(config.n_partitions, os.cpu_count() or 1, len(sizes))
+    moments: list = [None] * len(sizes)
+    errors: list[BaseException] = []
+    # Shared by every thread; next() on a range iterator is one call under the GIL.
+    indices = iter(range(len(sizes)))
 
-    def run() -> list[Moments]:
-        if workers == 1:
-            return list(map(block, indices, sizes))
-        # Imported here, not at module level: it adds ~8 ms to every `mc` and `report` start.
-        from concurrent.futures import ThreadPoolExecutor
+    def work() -> None:
+        try:
+            for index in indices:
+                moments[index] = block(index, sizes[index])
+        except BaseException as error:
+            errors.append(error)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(block, indices, sizes))
-
-    moments = run() if alongside is None else _beside(alongside, run)
+    threads = []
+    try:
+        for _ in range(workers - (alongside is None)):
+            thread = threading.Thread(target=work, name="foamlab-mc-blocks")
+            thread.start()
+            threads.append(thread)
+        (alongside or work)()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     count, _, m2 = functools.reduce(_combine, moments)
 
     empirical_variance = m2 / (count - 1)
@@ -220,38 +229,13 @@ def verify_curvature_uncertainty(
     )
 
 
-def _beside(alongside: Callable[[], None], work: Callable[[], list[Moments]]) -> list[Moments]:
-    """Run work() on one helper thread while alongside() runs on this one.
-
-    The thread is joined before anything is raised; an error in alongside
-    wins over one in work.
-    """
-    outcome: list = []
-
-    def run() -> None:
-        try:
-            outcome.append(work())
-        except BaseException as error:
-            outcome.append(error)
-
-    helper = threading.Thread(target=run, name="foamlab-mc-blocks")
-    helper.start()
-    try:
-        alongside()
-    finally:
-        helper.join()
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    return outcome[0]
-
-
 def _block_moments(seed: int, scale: float, index: int, rows: int) -> Moments:
     """Moments of the second differences of block `index`, drawn chunk by chunk.
 
-    Runs on worker threads, so it calls only private helpers and NumPy
-    (perfbench/spans.py wraps public names with a span stack that is not
-    thread-safe).  NumPy releases the GIL in the normal fill and the
-    array passes, so blocks overlap on separate cores.
+    Runs on worker threads as well as the calling thread, so it calls only
+    private helpers and NumPy (perfbench/spans.py wraps public names with
+    a span stack that is not thread-safe).  NumPy releases the GIL in the
+    normal fill and the array passes, so blocks overlap on separate cores.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     chunks = (

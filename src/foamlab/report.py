@@ -30,7 +30,7 @@ from . import __version__
 from .constants import DEFAULT_CONSTANTS, ConstantSet, checked_record
 from .errors import DomainError
 from .laws import UncertaintyLaw
-from .montecarlo import McConfig, eigenvalues, ngvandam_covariance, verify_curvature_uncertainty
+from .montecarlo import McConfig, ngvandam_covariance, verify_curvature_uncertainty
 from .wigner import (
     CURVATURE_NOISE_COEFF,
     TripletCovariance,
@@ -198,7 +198,7 @@ def build_claim_report(
         cov23=cov_1cm.cov23 / cov_1cm.sigma2,
         cov13=cov_1cm.cov13 / cov_1cm.sigma2,
     )
-    spectrum = eigenvalues(correlation)
+    spectrum = _eigenvalues(correlation)
     eigen_gap = max(abs(a - b) for a, b in zip(spectrum, _EXPECTED_EIGENVALUES))
     add(
         "correlation-eigenvalues",
@@ -406,6 +406,12 @@ def _slice_identity_gap(raw: np.ndarray) -> float:
     )
     gap = abs(direct - six_term) / np.maximum(np.maximum(abs(direct), abs(six_term)), cov.sigma2)
     return float(gap.max())
+
+
+def _eigenvalues(cov: TripletCovariance) -> tuple[float, float, float]:
+    """Eigenvalues of the covariance matrix, descending."""
+    values = np.linalg.eigvalsh(cov.matrix())
+    return (float(values[2]), float(values[1]), float(values[0]))
 
 
 def _density_two_form_gap(l: float, cs: ConstantSet) -> float:

@@ -18,10 +18,9 @@ from foamlab.montecarlo import (
     ADJACENT_CORRELATION,
     OUTER_CORRELATION,
     McConfig,
-    eigenvalues,
     verify_curvature_uncertainty,
 )
-from foamlab.report import build_claim_report
+from foamlab.report import _eigenvalues, build_claim_report
 from foamlab.wigner import (
     CURVATURE_NOISE_COEFF,
     TripletCovariance,
@@ -150,7 +149,7 @@ def test_c06_covariance_psd():
         cov23=ADJACENT_CORRELATION,
         cov13=OUTER_CORRELATION,
     )
-    spectrum = eigenvalues(correlation)
+    spectrum = _eigenvalues(correlation)
     expected = (1.269025, 1.047359, 0.683618)
     for got, want in zip(spectrum, expected):
         assert abs(got - want) <= 1e-5

@@ -88,12 +88,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("foamlab: error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("length", ["1e-300", "1e-200", "1e300"])
+    @pytest.mark.parametrize("length", ["5e-324", "1e-300", "1e-200", "1e300"])
     def test_unrepresentable_mc_length_is_domain_error(self, run_cli, length):
         code, out, err = run_cli(["mc", "--length", length, "--samples", "1000", "--seed", "1"])
         assert code == 1
         assert out == ""
         assert err.startswith("foamlab: error:") and err.count("\n") == 1
+        # The length given, not the t = l/c that underflows to 0 at 5e-324 cm.
+        assert f"l = {float(length)!r} cm" in err
 
     def test_negative_report_seed_is_domain_error(self, run_cli):
         code, out, err = run_cli(["report", "--seed", "-3"])
@@ -715,12 +717,14 @@ def test_module_entry_point_smoke():
 NUMPY_FREE_COMMANDS = ["uncertainty", "clock-mass", "fluct", "threshold", "constants", "bounce"]
 
 # Runs in a fresh interpreter: this process has NumPy loaded already.  Each
-# step lists which of the modules that start-up leaves out are loaded, so
-# a cost moved from the import into the first command shows too.
+# step lists which of the modules named in argv[2] are loaded, so a cost
+# moved from the import into the first command shows too.  Two cores are
+# pinned, so `mc` at two partitions runs worker threads on any host.
 IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+os.cpu_count = lambda: 2
 def heavy():
-    return [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+    return [name for name in json.loads(sys.argv[2]) if name in sys.modules]
 import foamlab
 loaded = {"foamlab": heavy()}
 import foamlab.cli
@@ -735,16 +739,30 @@ print(json.dumps(loaded))
 """
 
 
-def test_numpy_free_commands_do_not_load_numpy():
-    argvs = [SAMPLE_INVOCATIONS[name] for name in NUMPY_FREE_COMMANDS]
+def run_import_probe(argvs: list[list[str]], modules: list[str]) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs), json.dumps(modules)],
         capture_output=True, text=True, check=True, cwd=REPO_ROOT,
         env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
     )
+    return json.loads(proc.stdout)
+
+
+def test_numpy_free_commands_do_not_load_numpy():
+    argvs = [SAMPLE_INVOCATIONS[name] for name in NUMPY_FREE_COMMANDS]
     steps = ["foamlab", "foamlab.cli", *NUMPY_FREE_COMMANDS]
     expected = {**dict.fromkeys(steps, []), "montecarlo": True}
-    assert json.loads(proc.stdout) == expected
+    assert run_import_probe(argvs, ["numpy", "dataclasses", "inspect"]) == expected
+
+
+def test_mc_and_report_threads_load_no_executor():
+    # mc runs three blocks on two threads; report runs one beside its identity batch.
+    argvs = [
+        ["mc", "--length", "1cm", "--samples", "2000001", "--seed", "1", "--partitions", "2"],
+        ["report", "--samples", "20000"],
+    ]
+    expected = {"foamlab": [], "foamlab.cli": [], "mc": [], "report": [], "montecarlo": True}
+    assert run_import_probe(argvs, ["concurrent.futures"]) == expected
 
 
 def test_public_names_resolve_to_their_submodule():

@@ -1,5 +1,6 @@
 import math
 import operator
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from foamlab.constants import DEFAULT_CONSTANTS, make_constants
 from foamlab.errors import DomainError
 from foamlab.laws import UncertaintyLaw
-from foamlab.wigner import density_fluctuation
+from foamlab.wigner import curvature_uncertainty, density_fluctuation, riemann_scalar_fluctuation
 
 # Direct evaluations with the CODATA Planck units (frozen oracles).
 DELTA_L_1CM = 1.377230372884795e-22
@@ -155,6 +156,31 @@ def test_monotonicity(a, b):
     assert increasing(law.time_uncertainty(lo), law.time_uncertainty(hi))
     assert increasing(law.clock_mass(lo), law.clock_mass(hi))
     assert decreasing(law.max_length_for_density(lo), law.max_length_for_density(hi))
+
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        UncertaintyLaw().length_uncertainty,
+        UncertaintyLaw().time_uncertainty,
+        UncertaintyLaw().clock_mass,
+        UncertaintyLaw().max_length_for_density,
+        curvature_uncertainty,
+        riemann_scalar_fluctuation,
+        density_fluctuation,
+    ],
+    ids=lambda operation: operation.__name__,
+)
+@given(x=whole_range)
+@example(x=5e-324)
+@example(x=1.7e308)
+def test_whole_range_answers_a_normal_double_or_refuses(operation, x):
+    try:
+        value = operation(x)
+    except DomainError:
+        return
+    assert sys.float_info.min <= value <= sys.float_info.max
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])

@@ -1,6 +1,6 @@
-import concurrent.futures
 import math
 import os
+import sys
 import threading
 import time
 
@@ -15,12 +15,12 @@ from foamlab.montecarlo import (
     ADJACENT_CORRELATION,
     OUTER_CORRELATION,
     McConfig,
-    eigenvalues,
     _psd_factor,
     _second_difference_scale,
     ngvandam_covariance,
     verify_curvature_uncertainty,
 )
+from foamlab.report import _eigenvalues
 from foamlab.wigner import (
     VARIANCE_RATIO,
     TripletCovariance,
@@ -86,21 +86,21 @@ class TestCovarianceConstruction:
 class TestEigenvalues:
     def test_correlation_spectrum_matches_closed_form(self):
         expected = closed_form_spectrum()
-        spectrum = eigenvalues(CORRELATION)
+        spectrum = _eigenvalues(CORRELATION)
         for got, want in zip(spectrum, expected):
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_correlation_spectrum_bounds_and_trace(self):
-        spectrum = eigenvalues(CORRELATION)
+        spectrum = _eigenvalues(CORRELATION)
         assert spectrum[0] < 1.27
         assert spectrum[2] > 0.68
         assert sum(spectrum) == pytest.approx(3.0, abs=1e-12)
 
     def test_identity_and_rank_one(self):
         identity = TripletCovariance(sigma2=1.0, cov12=0.0, cov23=0.0, cov13=0.0)
-        assert eigenvalues(identity) == pytest.approx((1.0, 1.0, 1.0), abs=0)
+        assert _eigenvalues(identity) == pytest.approx((1.0, 1.0, 1.0), abs=0)
         ones = TripletCovariance(sigma2=1.0, cov12=1.0, cov23=1.0, cov13=1.0)
-        spectrum = eigenvalues(ones)
+        spectrum = _eigenvalues(ones)
         assert spectrum[0] == pytest.approx(3.0, rel=1e-12, abs=0)
         assert abs(spectrum[1]) < 1e-12 and abs(spectrum[2]) < 1e-12
 
@@ -226,30 +226,51 @@ class TestVerification:
         ]
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize("cpus, requested", [(1, []), (2, [2]), (64, [3])])
-    def test_workers_capped_by_cpus_and_blocks(self, monkeypatch, cpus, requested):
-        asked = []
-
-        class SerialExecutor:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_workers_capped_by_cpus_and_blocks(self, monkeypatch, cpus):
         # three blocks, and far more partitions than blocks or cores
+        workers = min(10**9, cpus, 3)
+        # Each thread's first block waits for the others, so every thread takes one.
+        barrier = threading.Barrier(workers, timeout=10)
+        threads = set()
+        block = montecarlo._block_moments
+
+        def recorded(*args):
+            if threading.get_ident() not in threads:
+                threads.add(threading.get_ident())
+                barrier.wait()
+            return block(*args)
+
+        monkeypatch.setattr(montecarlo, "_block_moments", recorded)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         verify_curvature_uncertainty(
             McConfig(l=1.0, n_samples=2_000_001, seed=3, n_partitions=10**9)
         )
-        assert asked == requested
+        assert len(threads) == workers
+        assert threading.get_ident() in threads
+
+    def test_every_block_once_under_contention(self, monkeypatch):
+        # More threads than cores and a short switch interval, so a block
+        # lost or taken twice from the shared index iterator would show.
+        taken = []
+
+        def cheap(seed, scale, index, rows):
+            taken.append(index)
+            return rows, float(index), float(rows)
+
+        monkeypatch.setattr(montecarlo, "_block_moments", cheap)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        config = McConfig(l=1.0, n_samples=64 * montecarlo.BLOCK_ROWS, seed=1, n_partitions=16)
+        expected = verify_curvature_uncertainty(config._replace(n_partitions=1))
+        taken.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [verify_curvature_uncertainty(config) for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == sorted(list(range(64)) * 20)
+        assert results == [expected] * 20
 
     def test_convergence_scales_as_inverse_sqrt(self):
         # rms relative error over 10 seeds should drop ~10x from 1e4 to 1e6 samples
