@@ -37,12 +37,11 @@ pairwise update of Chan, Golub & LeVeque (1979).  Memory is O(chunk), not
 O(n).
 
 Determinism: results depend on (seed, n_samples) only.  n_partitions caps
-the threads that compute blocks at min(n_partitions, os.cpu_count(),
-number of blocks), the calling thread counting as one of them, so one
-worker starts no thread.  It never changes what is drawn or the merge
-order, so results are bit-identical across partition counts.  Block keys
-stay below the report's batch key 1_000_003 (report._max_identity_gap)
-for n_samples below about 1e12.
+the threads that compute blocks, the calling thread among them, at
+min(n_partitions, os.cpu_count(), number of blocks).  It never changes
+what is drawn or the merge order, so results are bit-identical across
+partition counts.  Block keys stay below the report's batch key 1_000_003
+(report._max_identity_gap) for n_samples below about 1e12.
 
 Overlap: a caller may pass independent work as `alongside`, which the
 calling thread runs in place of its share of the blocks, so the blocks
@@ -170,8 +169,7 @@ def verify_curvature_uncertainty(
     config.validate()
     if config.n_samples < 2:
         raise DomainError("n_samples must be at least 2 to estimate a variance")
-    # Before the covariance, whose t = l/c underflows to 0 where delta_C overflows,
-    # so the error names l.
+    # Checked first, so the error names l: where delta_C overflows, t = l/c underflows to 0.
     closed_form_delta_c = curvature_uncertainty(config.l, constants)
     cov = cov_override if cov_override is not None else ngvandam_covariance(config.l, constants)
     # Validates cov; _psd_factor relies on that.
@@ -192,6 +190,8 @@ def verify_curvature_uncertainty(
     def work() -> None:
         try:
             for index in indices:
+                if errors:  # a block failed, or Ctrl-C reached the calling thread
+                    return
                 moments[index] = block(index, sizes[index])
         except BaseException as error:
             errors.append(error)

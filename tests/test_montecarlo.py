@@ -272,6 +272,24 @@ class TestVerification:
         assert sorted(taken) == sorted(list(range(64)) * 20)
         assert results == [expected] * 20
 
+    def test_block_error_stops_the_other_threads(self, monkeypatch):
+        taken = []
+
+        def failing_first(seed, scale, index, rows):
+            taken.append(index)
+            if index == 0:
+                raise ZeroDivisionError("block failed")
+            time.sleep(0.01)
+            return rows, 0.0, float(rows)
+
+        monkeypatch.setattr(montecarlo, "_block_moments", failing_first)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = McConfig(l=1.0, n_samples=50 * montecarlo.BLOCK_ROWS, seed=1, n_partitions=2)
+        with pytest.raises(ZeroDivisionError, match="block failed"):
+            verify_curvature_uncertainty(config)
+        # The other thread finishes the block it holds and takes no more.
+        assert len(taken) < 50
+
     def test_convergence_scales_as_inverse_sqrt(self):
         # rms relative error over 10 seeds should drop ~10x from 1e4 to 1e6 samples
         def rms_error(n: int) -> float:
