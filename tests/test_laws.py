@@ -158,7 +158,6 @@ def test_monotonicity(a, b):
     assert decreasing(law.max_length_for_density(lo), law.max_length_for_density(hi))
 
 
-
 @pytest.mark.parametrize(
     "operation",
     [
