@@ -24,17 +24,15 @@ from .constants import (
 from .errors import ConfigError, ConsistencyError, DomainError
 from .laws import UncertaintyLaw
 from .wigner import (
-    FluctuationProfile,
     PulseTriplet,
     TripletCovariance,
     curvature_uncertainty,
     density_fluctuation,
     estimate_curvature,
-    fluctuation_profile,
     riemann_scalar_fluctuation,
     second_difference_variance,
 )
-from .bounce import BounceModel, BounceRecord, estimator_response, simulate_round_trips
+from .bounce import BounceModel, BounceRecord, simulate_round_trips
 
 # Public name: the submodule that defines it and loads NumPy on import.
 _LAZY = {
@@ -65,13 +63,11 @@ __all__ = [
     "ConsistencyError",
     "DomainError",
     "UncertaintyLaw",
-    "FluctuationProfile",
     "PulseTriplet",
     "TripletCovariance",
     "curvature_uncertainty",
     "density_fluctuation",
     "estimate_curvature",
-    "fluctuation_profile",
     "riemann_scalar_fluctuation",
     "second_difference_variance",
     "McConfig",
@@ -80,7 +76,6 @@ __all__ = [
     "verify_curvature_uncertainty",
     "BounceModel",
     "BounceRecord",
-    "estimator_response",
     "simulate_round_trips",
     "ClaimReport",
     "ClaimRow",

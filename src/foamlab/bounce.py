@@ -16,8 +16,8 @@ model's small-K response is
 
     t1 - 2 t2 + t3  ->  -K l^3 / c,    estimate -> -(l/11) K
 
-and the regression slope is pinned against -l/11 as a toy-model value,
-not as a physical claim.
+and each estimate is pinned against -(l/11) K as a toy-model value, not
+as a physical claim; the report's bounce-linearity row checks linearity.
 
 Each pulse is solved for its deviation delta from the flat leg l/(2c),
 not for its absolute flight time, whose leading digits the second
@@ -47,7 +47,7 @@ from .constants import (
     require_positive_finite,
     require_representable,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .wigner import curvature_from_second_difference
 
 # Model validity guard and root-finder contract.
@@ -55,12 +55,6 @@ CURVATURE_GUARD = 0.01          # |K| (l/2)^2 must stay below this
 WINDOW_GUARD = 1.0              # omega * (n_pulses + 1) * (l/c) must stay below this
 STEP_RTOL = 4.0 * sys.float_info.epsilon  # stop once |delta_new - delta| <= this * |delta_new|
 MAX_ROOT_ITERATIONS = 200
-
-# Grid regime in which the fitted response is asserted linear to 1e-3.
-# The model's own quadratic term reaches ~1e-3 relative residual already
-# at |K| (l/2)^2 = 1e-4, so the hard assertion applies a decade lower.
-LINEARITY_ASSERT_GUARD = 3e-5
-LINEARITY_MAX_RESIDUAL = 1e-3
 
 
 class BounceModel(checked_record("BounceModel", "k l constants")):
@@ -97,15 +91,6 @@ class BounceRecord(NamedTuple):
     emission_epochs: tuple[TimeInterval, ...]
     estimated_curvature: float
     deviations: tuple[TimeInterval, ...]
-
-
-class ResponseReport(NamedTuple):
-    """Linear-response fit of the estimator over a curvature grid."""
-
-    slope: float
-    max_relative_residual: float
-    k_grid: tuple[float, ...]
-    estimates: tuple[float, ...]
 
 
 def simulate_round_trips(model: BounceModel, n_pulses: int) -> BounceRecord:
@@ -164,48 +149,3 @@ def simulate_round_trips(model: BounceModel, n_pulses: int) -> BounceRecord:
         )
     estimate = curvature_from_second_difference(second_difference, times[1], cs)
     return BounceRecord(tuple(times), tuple(epochs), estimate, tuple(deviations))
-
-
-def estimator_response(
-    k_grid: list[float] | tuple[float, ...],
-    l: Length,
-    constants: ConstantSet = DEFAULT_CONSTANTS,
-    n_pulses: int = 3,
-) -> ResponseReport:
-    """Fit estimate = slope * K through the origin over a curvature grid.
-
-    Requires at least five grid points spanning a decade in |K| (an
-    all-zero grid short-circuits to a zero report).  Reports the fitted
-    slope and the maximum relative residual over nonzero points; inside
-    the LINEARITY_ASSERT_GUARD regime a residual at or above
-    LINEARITY_MAX_RESIDUAL raises ConsistencyError.  constants defaults to
-    DEFAULT_CONSTANTS.
-    """
-    ks = [float(k) for k in k_grid]
-    if len(ks) < 5:
-        raise DomainError(f"need at least 5 grid points, got {len(ks)}")
-    nonzero = [abs(k) for k in ks if k != 0.0]
-    if not nonzero:
-        return ResponseReport(0.0, 0.0, tuple(ks), tuple(0.0 for _ in ks))
-    if max(nonzero) / min(nonzero) < 10.0 * (1.0 - 1e-12):
-        raise DomainError(
-            f"grid must span at least a decade in |K|; got {min(nonzero):.3e}..{max(nonzero):.3e}"
-        )
-    estimates = [
-        simulate_round_trips(
-            BounceModel(k=k, l=l, constants=constants), n_pulses
-        ).estimated_curvature
-        for k in ks
-    ]
-    slope = sum(c * k for c, k in zip(estimates, ks)) / sum(k * k for k in ks)
-    residuals = [
-        abs(c - slope * k) / abs(slope * k) for c, k in zip(estimates, ks) if k != 0.0
-    ]
-    max_residual = max(residuals)
-    if max(nonzero) * (l / 2.0) ** 2 <= LINEARITY_ASSERT_GUARD and (
-        max_residual >= LINEARITY_MAX_RESIDUAL
-    ):
-        raise ConsistencyError(
-            f"estimator response is not linear in K: max relative residual {max_residual:.3e}"
-        )
-    return ResponseReport(slope, max_residual, tuple(ks), tuple(estimates))

@@ -26,8 +26,7 @@ from . import __version__
 from .constants import DEFAULT_CONSTANTS, load_constants, validate_constants
 from .errors import ConfigError, ConsistencyError, DomainError
 from .laws import UncertaintyLaw
-from .wigner import fluctuation_profile, linearization_ok
-from . import bounce
+from . import bounce, wigner
 
 # Quantity kind: (metavar letter, unit suffix).
 _QUANTITIES = {
@@ -207,7 +206,8 @@ def _payload(
 
 def _sub_planck(kind: str, value: float) -> list[str]:
     """The sub-Planck warning for a length or time input, if it applies."""
-    below = _LAW.sub_planck_length(value) if kind == "length" else _LAW.sub_planck_time(value)
+    planck = DEFAULT_CONSTANTS.l_planck if kind == "length" else DEFAULT_CONSTANTS.t_planck
+    below = value < planck
     return [f"input below the Planck {kind}; result is physically meaningless"] if below else []
 
 
@@ -257,15 +257,14 @@ def _cmd_clock_mass(args: argparse.Namespace) -> dict[str, Any]:
 
 @_command("fluct", "curvature / Riemann-scalar / density fluctuations", length=_quantity("length"))
 def _cmd_fluct(args: argparse.Namespace) -> dict[str, Any]:
-    profile = fluctuation_profile(args.length)
-    warnings = _sub_planck("length", args.length)
-    if not linearization_ok(args.length):
-        warnings.append("linearization questionable: l is below 100 Planck lengths")
     rows = [
-        ("delta_c", profile.delta_c, "1/cm", "closed-form"),
-        ("delta_r", profile.delta_r, "1/cm2", "order-of-magnitude"),
-        ("delta_rho", profile.delta_rho, "g/cm3", "order-of-magnitude"),
+        ("delta_c", wigner.curvature_uncertainty(args.length), "1/cm", "closed-form"),
+        ("delta_r", wigner.riemann_scalar_fluctuation(args.length), "1/cm2", "order-of-magnitude"),
+        ("delta_rho", wigner.density_fluctuation(args.length), "g/cm3", "order-of-magnitude"),
     ]
+    warnings = _sub_planck("length", args.length)
+    if args.length < wigner.LINEARIZATION_MIN_PLANCK * DEFAULT_CONSTANTS.l_planck:
+        warnings.append("linearization questionable: l is below 100 Planck lengths")
     return _payload(args, zip(*rows), warnings)
 
 

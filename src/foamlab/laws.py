@@ -12,8 +12,8 @@ max_length_for_density inverts the energy-density fluctuation it implies.
 The uncertainties are treated as one-sigma values, not hard bounds; that
 reading is what makes the Monte Carlo verification well-posed.  Inputs
 below the Planck scale are accepted (the laws have their fixed point
-there) but are physically meaningless; the CLI attaches a warning, which
-the `sub_planck_*` helpers back.
+there) but are physically meaningless; the CLI warns when an input is
+below the Planck length or time.
 """
 
 from __future__ import annotations
@@ -75,11 +75,3 @@ class UncertaintyLaw(checked_record("UncertaintyLaw", "constants")):
         scale = (cs.hbar / cs.c) * cs.l_planck ** (-2.0 / 3.0)
         # Powered apart, so no subnormal quotient scale / rho_max loses digits near 1e308.
         return scale**0.3 * rho_max**-0.3
-
-    def sub_planck_length(self, l: Length) -> bool:
-        """True when l sits below the Planck length (warning territory)."""
-        return l < self.constants.l_planck
-
-    def sub_planck_time(self, t: TimeInterval) -> bool:
-        """True when t sits below the Planck time."""
-        return t < self.constants.t_planck

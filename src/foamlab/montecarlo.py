@@ -73,11 +73,14 @@ from .errors import DomainError
 from .laws import UncertaintyLaw
 from .wigner import TripletCovariance, curvature_uncertainty, second_difference_variance
 
-# Correlations forced by the interval variances above:
-# adjacent: Var(t_i + t_j) = 2 sigma^2 (1 + rho) = 2^(2/3) sigma^2
-# outer:    Var(sum)       = 3 sigma^2 + 4 rho_adj sigma^2 + 2 rho_out sigma^2 = 3^(2/3) sigma^2
-ADJACENT_CORRELATION = 2.0 ** (-1.0 / 3.0) - 1.0
-OUTER_CORRELATION = (3.0 ** (2.0 / 3.0) - 3.0) / 2.0 - (2.0 ** (2.0 / 3.0) - 2.0)
+
+def _fgn_correlation(k: int) -> float:
+    """Lag-k correlation of fractional Gaussian noise with H = 1/3 (Mandelbrot & Van Ness 1968)."""
+    return ((k + 1) ** (2.0 / 3.0) - 2.0 * k ** (2.0 / 3.0) + abs(k - 1) ** (2.0 / 3.0)) / 2.0
+
+
+ADJACENT_CORRELATION = _fgn_correlation(1)
+OUTER_CORRELATION = _fgn_correlation(2)
 
 BLOCK_ROWS = 1_000_000
 CHUNK_ROWS = 1 << 16
@@ -163,8 +166,9 @@ def verify_curvature_uncertainty(
     threads, the calling thread among them.  alongside, if given, is
     called once on the calling thread in place of its share of the blocks,
     so independent NumPy work overlaps the sampling on another core.  An
-    exception from alongside, or else the first from a block, is raised
-    here once every thread has joined.
+    exception from alongside or a Ctrl-C, or else the first from a block,
+    stops the threads after their current block and is raised here once
+    every thread has joined.
     """
     config.validate()
     if config.n_samples < 2:
@@ -203,9 +207,13 @@ def verify_curvature_uncertainty(
             thread.start()
             threads.append(thread)
         (alongside or work)()
-    finally:
         for thread in threads:
             thread.join()
+    except BaseException as error:  # from alongside, or Ctrl-C while joining
+        errors.append(error)  # the threads stop after their current block
+        for thread in threads:
+            thread.join()
+        raise
     if errors:
         raise errors[0]
     count, _, m2 = functools.reduce(_combine, moments)

@@ -14,7 +14,7 @@ triple intervals gives the closed-form curvature noise
 
 valid in the linearized regime l >> l_planck (the flight times are then
 much larger than their fluctuations; below LINEARIZATION_MIN_PLANCK
-Planck lengths callers should flag the output as questionable).  From
+Planck lengths `foamlab fluct` flags the output as questionable).  From
 delta_C follow the Riemann-scalar and energy-density fluctuations.  The
 scalar and density relations are order-of-magnitude laws: they are
 implemented with coefficient exactly 1 and must be labelled as such in
@@ -107,15 +107,6 @@ class TripletCovariance(NamedTuple):
                 "covariance is not positive semidefinite: smallest eigenvalue "
                 f"{float(np.min(smallest[indefinite]))!r}"
             )
-
-
-class FluctuationProfile(NamedTuple):
-    """delta_C, delta_R and delta_rho evaluated at one averaging length."""
-
-    l: Length
-    delta_c: Curvature
-    delta_r: Curvature2
-    delta_rho: MassDensity
 
 
 def estimate_curvature(
@@ -230,29 +221,6 @@ def density_fluctuation(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -
             f"density fluctuation forms disagree: {direct!r} vs {via_scalar!r}"
         )
     return direct
-
-
-def fluctuation_profile(
-    l: Length, constants: ConstantSet = DEFAULT_CONSTANTS
-) -> FluctuationProfile:
-    """Bundle delta_C, delta_R, delta_rho at one averaging length.
-
-    constants defaults to DEFAULT_CONSTANTS.
-    """
-    return FluctuationProfile(
-        l=l,
-        delta_c=curvature_uncertainty(l, constants),
-        delta_r=riemann_scalar_fluctuation(l, constants),
-        delta_rho=density_fluctuation(l, constants),
-    )
-
-
-def linearization_ok(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> bool:
-    """True when l is at least LINEARIZATION_MIN_PLANCK Planck lengths.
-
-    constants defaults to DEFAULT_CONSTANTS.
-    """
-    return l >= LINEARIZATION_MIN_PLANCK * constants.l_planck
 
 
 def _density_forms(l: Length, constants: ConstantSet) -> tuple[float, float]:

@@ -198,9 +198,16 @@ def test_c10_bounce_simulator():
     flat_gap = max(abs(t * cs.c - 1.0) for t in flat.times)
     assert flat_gap <= 1e-10
 
+    # Linear response: the estimates fitted through the origin over a decade of K.
     grid = [4e-6 * 10 ** (i / 6) for i in range(7)]
-    response = bounce.estimator_response(grid, 1.0, cs)
-    assert response.max_relative_residual < 1e-3
+    estimates = [
+        bounce.simulate_round_trips(bounce.BounceModel(k=k, l=1.0, constants=cs), 3)
+        .estimated_curvature
+        for k in grid
+    ]
+    slope = sum(e * k for e, k in zip(estimates, grid)) / sum(k * k for k in grid)
+    residual = max(abs(e - slope * k) / abs(slope * k) for e, k in zip(estimates, grid))
+    assert residual < 1e-3
 
     small = bounce.simulate_round_trips(bounce.BounceModel(k=4e-6, l=1.0, constants=cs), 3)
     large = bounce.simulate_round_trips(bounce.BounceModel(k=4e-6, l=2.0, constants=cs), 3)
@@ -210,7 +217,7 @@ def test_c10_bounce_simulator():
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(
-        f"[PASS] c10 flat gap {flat_gap:.2e}, residual {response.max_relative_residual:.2e}, "
+        f"[PASS] c10 flat gap {flat_gap:.2e}, residual {residual:.2e}, "
         f"doubling ratio {ratio:.4f} ({elapsed:.2f} s)"
     )
 

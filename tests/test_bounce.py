@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from foamlab import bounce
-from foamlab.bounce import BounceModel, estimator_response, simulate_round_trips
+from foamlab.bounce import BounceModel, simulate_round_trips
 from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
 
@@ -174,29 +174,3 @@ class TestRootFinder:
         with pytest.raises(DomainError, match="did not converge within 1 iterations"):
             simulate_round_trips(BounceModel(k=4e-6, l=1.0), 3)
 
-
-class TestEstimatorResponse:
-    def test_all_zero_grid(self):
-        report = estimator_response([0.0] * 5, 1.0)
-        assert report.slope == 0.0
-        assert report.max_relative_residual == 0.0
-
-    def test_decade_grid_slope_and_linearity(self):
-        grid = [4e-6 * 10 ** (i / 4) for i in range(5)]  # decade in |K|
-        report = estimator_response(grid, 1.0)
-        # toy-model regression value: slope -> -l/11 at leading order
-        assert report.slope * 11.0 / 1.0 == pytest.approx(-1.0, rel=1e-3, abs=0)
-        assert report.max_relative_residual < 1e-3
-
-    def test_needs_five_points(self):
-        with pytest.raises(DomainError, match="5"):
-            estimator_response([1e-6, 2e-6, 4e-6], 1.0)
-
-    def test_needs_decade_span(self):
-        with pytest.raises(DomainError, match="decade"):
-            estimator_response([1e-6, 2e-6, 3e-6, 4e-6, 5e-6], 1.0)
-
-    def test_mixed_sign_grid(self):
-        grid = [-4e-5, -4e-6, 4e-6, 1.2e-5, 4e-5]
-        report = estimator_response(grid, 1.0)
-        assert report.slope == pytest.approx(-1.0 / 11.0, rel=2e-3, abs=0)

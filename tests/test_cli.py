@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from foamlab import bounce
 from foamlab.cli import _VALUE_KEYS, _Table, _render, _round_float, build_parser
+from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -235,6 +236,23 @@ class TestValues:
         code, out, _ = run_cli(["fluct", "--length", "1e-32cm", "--format", "json"])
         payload = json.loads(out)
         assert any("linearization" in w for w in payload["warnings"])
+
+    @pytest.mark.parametrize("planck_lengths, warned", [(99.0, True), (100.0, False)])
+    def test_linearization_warning_boundary(self, run_cli, planck_lengths, warned):
+        length = planck_lengths * DEFAULT_CONSTANTS.l_planck
+        code, out, _ = run_cli(["fluct", "--length", repr(length), "--format", "json"])
+        assert code == 0
+        linearization = [w for w in json.loads(out)["warnings"] if "linearization" in w]
+        assert bool(linearization) == warned
+
+    @pytest.mark.parametrize("kind", ["length", "time"])
+    def test_sub_planck_warning_boundary(self, run_cli, kind):
+        planck = DEFAULT_CONSTANTS.l_planck if kind == "length" else DEFAULT_CONSTANTS.t_planck
+        for value, warned in ((math.nextafter(planck, 0.0), True), (2.0 * planck, False)):
+            code, out, _ = run_cli(["uncertainty", f"--{kind}", repr(value), "--format", "json"])
+            assert code == 0
+            expected = [f"input below the Planck {kind}; result is physically meaningless"]
+            assert json.loads(out)["warnings"] == (expected if warned else [])
 
     def test_bounce_flat_trips(self, run_cli):
         code, out, _ = run_cli(

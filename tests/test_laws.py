@@ -194,15 +194,6 @@ def test_domain_errors(law, bad):
         law.max_length_for_density(bad)
 
 
-def test_sub_planck_flags(law):
-    lp = law.constants.l_planck
-    assert law.sub_planck_length(lp / 2)
-    assert not law.sub_planck_length(2 * lp)
-    tp = law.constants.t_planck
-    assert law.sub_planck_time(tp / 2)
-    assert not law.sub_planck_time(2 * tp)
-
-
 def test_law_works_in_natural_units():
     law = UncertaintyLaw(make_constants(1.0, 1.0, 1.0))
     assert law.length_uncertainty(8.0) == pytest.approx(2.0, rel=1e-12, abs=0)

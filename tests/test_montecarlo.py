@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -309,7 +310,7 @@ class TestAlongside:
     @pytest.mark.parametrize(
         "samples, partitions",
         [(100_000, 1), (2_500_000, 2)],
-        ids=["helper-thread", "pool"],
+        ids=["1-worker", "2-workers"],
     )
     def test_runs_once_on_calling_thread_and_changes_nothing(
         self, monkeypatch, samples, partitions
@@ -341,27 +342,67 @@ class TestAlongside:
         assert ran == [True]
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("samples, partitions", [(100, 1), (2_500_000, 2)])
-    def test_alongside_error_still_joins_blocks(self, monkeypatch, samples, partitions):
-        finished = []
-        block = montecarlo._block_moments
+    @staticmethod
+    def hold_blocks(monkeypatch, interrupt_first_join=False):
+        """Make each block wait until the caller joins a worker thread.
 
-        def slow(*args):
-            time.sleep(0.05)
-            moments = block(*args)
-            finished.append(args[2])
-            return moments
+        The caller joins only after recording an alongside error, or a
+        Ctrl-C that interrupt_first_join raises from its first join, so no
+        block ends before the error.  Returns the started threads, the
+        block indices taken, and an Event set once a block is taken.
+        """
+        started, taken, interrupted = [], [], []
+        block_taken, joining = threading.Event(), threading.Event()
 
-        def failing():
-            raise ZeroDivisionError("alongside failed")
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+            def join(self, timeout=None):
+                if interrupt_first_join and not interrupted:
+                    interrupted.append(block_taken.wait(10.0))
+                    raise KeyboardInterrupt
+                joining.set()
+                super().join(timeout)
+
+        def held(seed, scale, index, rows):
+            taken.append(index)
+            block_taken.set()
+            joining.wait(10.0)
+            return rows, 0.0, float(rows)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(montecarlo, "_block_moments", slow)
-        threads = threading.active_count()
+        monkeypatch.setattr(montecarlo, "_block_moments", held)
+        monkeypatch.setattr(montecarlo, "threading", types.SimpleNamespace(Thread=Thread))
+        return started, taken, block_taken
+
+    @pytest.mark.parametrize("samples, partitions", [(100, 1), (2_500_000, 2)])
+    def test_alongside_error_still_joins_blocks(self, monkeypatch, samples, partitions):
+        started, taken, block_taken = self.hold_blocks(monkeypatch)
+
+        def failing():
+            block_taken.wait(10.0)
+            raise ZeroDivisionError("alongside failed")
+
         with pytest.raises(ZeroDivisionError, match="alongside failed"):
             verify_curvature_uncertainty(
                 McConfig(l=1.0, n_samples=samples, seed=1, n_partitions=partitions),
                 alongside=failing,
             )
-        assert sorted(finished) == list(range(math.ceil(samples / montecarlo.BLOCK_ROWS)))
-        assert threading.active_count() == threads
+        assert len(started) == partitions
+        assert not any(thread.is_alive() for thread in started)
+        # Each thread finished the block it held and took no other.
+        assert 1 <= len(taken) <= len(started)
+
+    def test_interrupt_while_joining_stops_blocks(self, monkeypatch):
+        # Ctrl-C after the alongside work, while the caller waits for the blocks.
+        started, taken, _ = self.hold_blocks(monkeypatch, interrupt_first_join=True)
+        with pytest.raises(KeyboardInterrupt):
+            verify_curvature_uncertainty(
+                McConfig(l=1.0, n_samples=2_500_000, seed=1, n_partitions=2),
+                alongside=lambda: None,
+            )
+        assert len(started) == 2
+        assert not any(thread.is_alive() for thread in started)
+        assert 1 <= len(taken) <= len(started)

@@ -2,13 +2,13 @@
 
 import pytest
 
-from foamlab.bounce import BounceModel, BounceRecord, ResponseReport
+from foamlab.bounce import BounceModel, BounceRecord
 from foamlab.constants import DEFAULT_CONSTANTS, make_constants
 from foamlab.errors import DomainError
 from foamlab.laws import UncertaintyLaw
 from foamlab.montecarlo import McConfig, McResult
 from foamlab.report import ClaimReport, ClaimRow
-from foamlab.wigner import FluctuationProfile, PulseTriplet, TripletCovariance
+from foamlab.wigner import PulseTriplet, TripletCovariance
 
 ROW = ClaimRow("a", "a claim", "~1", 1.0, "-", "reproduced", "1%", "closed-form")
 
@@ -16,9 +16,7 @@ RECORDS = [
     DEFAULT_CONSTANTS,
     PulseTriplet(1.0, 1.0, 1.0),
     TripletCovariance(1.0, 0.0, 0.0, 0.0),
-    FluctuationProfile(1.0, 2.0, 3.0, 4.0),
     BounceRecord((1.0,), (0.0,), 0.0, (0.0,)),
-    ResponseReport(0.0, 0.0, (0.0,), (0.0,)),
     McConfig(1.0, 10, 0),
     McResult(1.0, 1.0, 0.0, 1.0, 1.0, 1.0),
     ROW,

@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
 from foamlab.montecarlo import McConfig, verify_curvature_uncertainty
 from foamlab.report import (
     _IDENTITY_BATCH_KEY,
     _IDENTITY_BATCH_SIZE,
+    _linearity_residual,
     _max_identity_gap,
     build_claim_report,
 )
@@ -153,6 +155,15 @@ def test_identity_batch_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_linearity_residual_on_the_report_grid(report):
+    # The bounce-linearity row's grid: a decade of K at l = 1 cm.
+    grid = [k * 4.0 for k in (1e-6, 1.78e-6, 3.16e-6, 5.62e-6, 1e-5)]
+    residual = _linearity_residual(grid, DEFAULT_CONSTANTS)
+    assert residual == 0.00011624640068791821
+    rows = {row.claim_id: row for row in report.rows}
+    assert rows["bounce-linearity"].computed_value == residual
 
 
 def test_overlapped_stages_give_their_sequential_values(report):

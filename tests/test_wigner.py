@@ -9,14 +9,11 @@ from foamlab.errors import DomainError
 from foamlab.wigner import (
     CURVATURE_NOISE_COEFF,
     VARIANCE_RATIO,
-    FluctuationProfile,
     PulseTriplet,
     TripletCovariance,
     curvature_uncertainty,
     density_fluctuation,
     estimate_curvature,
-    fluctuation_profile,
-    linearization_ok,
     riemann_scalar_fluctuation,
     second_difference_variance,
 )
@@ -231,24 +228,3 @@ class TestClosedFormChain:
             with pytest.raises(DomainError, match="l = "):
                 op(l)
 
-
-class TestProfile:
-    def test_profile_matches_component_ops_bit_for_bit(self):
-        cs = DEFAULT_CONSTANTS
-        profile = fluctuation_profile(1e-5, cs)
-        assert profile == FluctuationProfile(
-            l=1e-5,
-            delta_c=curvature_uncertainty(1e-5, cs),
-            delta_r=riemann_scalar_fluctuation(1e-5, cs),
-            delta_rho=density_fluctuation(1e-5, cs),
-        )
-
-    def test_profile_fields_positive(self):
-        profile = fluctuation_profile(3.7)
-        assert profile.delta_c > 0 and profile.delta_r > 0 and profile.delta_rho > 0
-
-    def test_linearization_flag(self):
-        cs = DEFAULT_CONSTANTS
-        assert linearization_ok(1.0, cs)
-        assert linearization_ok(100.0 * cs.l_planck, cs)
-        assert not linearization_ok(99.0 * cs.l_planck, cs)
