@@ -7,8 +7,10 @@ fluctuations, verifies the closed forms by seeded Monte Carlo sampling,
 and exercises the estimator end to end in a toy constant-curvature
 bounce simulator.  Everything works in CGS units (cm, g, s).
 
-`import foamlab` does not load NumPy.  The names of the two modules that
-need it, montecarlo and report, are imported on first access.
+`import foamlab` loads only constants, errors and laws, which every CLI
+command needs.  The wigner, bounce, montecarlo and report submodules, and
+the public names they define, are imported on first access, so NumPy
+loads only with montecarlo or report.
 """
 
 __version__ = "0.1.0"
@@ -23,19 +25,20 @@ from .constants import (
 )
 from .errors import ConfigError, ConsistencyError, DomainError
 from .laws import UncertaintyLaw
-from .wigner import (
-    PulseTriplet,
-    TripletCovariance,
-    curvature_uncertainty,
-    density_fluctuation,
-    estimate_curvature,
-    riemann_scalar_fluctuation,
-    second_difference_variance,
-)
-from .bounce import BounceModel, BounceRecord, simulate_round_trips
 
-# Public name: the submodule that defines it and loads NumPy on import.
+# Public name: the submodule that defines it.  Neither the submodules nor these
+# names are bound at import; the first access imports them (PEP 562).
 _LAZY = {
+    "PulseTriplet": "wigner",
+    "TripletCovariance": "wigner",
+    "curvature_uncertainty": "wigner",
+    "density_fluctuation": "wigner",
+    "estimate_curvature": "wigner",
+    "riemann_scalar_fluctuation": "wigner",
+    "second_difference_variance": "wigner",
+    "BounceModel": "bounce",
+    "BounceRecord": "bounce",
+    "simulate_round_trips": "bounce",
     "McConfig": "montecarlo",
     "McResult": "montecarlo",
     "ngvandam_covariance": "montecarlo",
@@ -44,13 +47,20 @@ _LAZY = {
     "ClaimRow": "report",
     "build_claim_report": "report",
 }
+_SUBMODULES = frozenset(_LAZY.values())
 
 
 def __getattr__(name: str):
-    """The montecarlo and report names, imported on first access (PEP 562)."""
+    """A lazy submodule or public name, imported on first access (PEP 562)."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 __all__ = [

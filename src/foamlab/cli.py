@@ -13,20 +13,16 @@ errors, 1 on domain errors (message on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import math
 import sys
-from json import dumps
-from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
 from .constants import DEFAULT_CONSTANTS, load_constants, validate_constants
 from .errors import ConfigError, ConsistencyError, DomainError
 from .laws import UncertaintyLaw
-from . import bounce, wigner
 
 # Quantity kind: (metavar letter, unit suffix).
 _QUANTITIES = {
@@ -62,6 +58,8 @@ def _precision(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"precision must be at least 1, got {value}")
+    if value > 767:  # no double has more significant digits in its exact decimal expansion
+        raise argparse.ArgumentTypeError(f"precision must be at most 767, got {value}")
     return value
 
 
@@ -221,7 +219,7 @@ def _cmd_constants(args: argparse.Namespace) -> dict[str, Any]:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
         constants = load_constants(text)
     values = constants._asdict()
@@ -257,6 +255,8 @@ def _cmd_clock_mass(args: argparse.Namespace) -> dict[str, Any]:
 
 @_command("fluct", "curvature / Riemann-scalar / density fluctuations", length=_quantity("length"))
 def _cmd_fluct(args: argparse.Namespace) -> dict[str, Any]:
+    from . import wigner  # imported on first use, as in _cmd_mc: most commands never need it
+
     rows = [
         ("delta_c", wigner.curvature_uncertainty(args.length), "1/cm", "closed-form"),
         ("delta_r", wigner.riemann_scalar_fluctuation(args.length), "1/cm2", "order-of-magnitude"),
@@ -305,6 +305,8 @@ def _cmd_mc(args: argparse.Namespace) -> dict[str, Any]:
     separation=_quantity("length"), pulses=_integer("N", 3),
 )
 def _cmd_bounce(args: argparse.Namespace) -> dict[str, Any]:
+    from . import bounce  # imports wigner too; see _cmd_fluct
+
     model = bounce.BounceModel(k=args.curvature, l=args.separation)
     record = bounce.simulate_round_trips(model, args.pulses)
     # t_i and epoch_i rows alternate, then the estimate closes the table.
@@ -358,6 +360,11 @@ _QUANTITY_SPELLINGS = {name: _quantity_spellings(opts) for name, (_, opts, _) in
 _VALUE_KEYS = ("value", "computed_value")
 _MIN_NORMAL = sys.float_info.min
 
+# The json and csv modules, bound by the first render in their format (see
+# _render): the table format, which most runs use, needs neither.
+json: Any = None
+csv: Any = None
+
 
 class _Table:
     """A row table held column by column: names[i] heads columns[i]."""
@@ -373,6 +380,11 @@ def _render(payload: dict[str, Any], fmt: str, precision: int) -> str:
     The rows _Table becomes the cells of fmt column by column.  The report's
     constants block keeps full precision.
     """
+    global json, csv
+    if fmt == "json" and json is None:
+        import json
+    elif fmt == "csv" and csv is None:
+        import csv
     table = payload["rows"]
     columns = [
         _cells(column, fmt, precision, rounded=name in _VALUE_KEYS)
@@ -389,7 +401,7 @@ def _render(payload: dict[str, Any], fmt: str, precision: int) -> str:
                 text = _json_table(value, "  ")
             else:  # the stdlib's lines, one level deeper
                 text = _strict_json(value).replace("\n", "\n  ")
-            items.append(f"  {encode_basestring(key)}: {text}")
+            items.append(f"  {json.encoder.encode_basestring(key)}: {text}")
         return "{\n" + ",\n".join(items) + "\n}\n"
     if fmt == "csv":
         buffer = io.StringIO()  # RFC-4180-style, CRLF endings
@@ -407,21 +419,21 @@ def _cells(values: Sequence[Any], fmt: str, precision: int, rounded: bool) -> li
     fixed notation below e+16, the JSON text.  Any other value goes through
     _round_float, which keeps its DomainError.
     """
-    json = fmt == "json"
+    as_json = fmt == "json"
     if set(map(type, values)) == {str}:
-        return list(map(encode_basestring, values)) if json else list(values)
+        return list(map(json.encoder.encode_basestring, values)) if as_json else list(values)
     once, spec = rounded and precision <= 15, f".{precision}g"
     cells = []
     for value in values:
         if once and isinstance(value, float) and (_MIN_NORMAL <= abs(value) < 1e308 or not value):
             cell = format(value, spec)
-            if json and "e" not in cell and "." not in cell:
+            if as_json and "e" not in cell and "." not in cell:
                 cell += ".0"
-            elif json and "e+" in cell and int(cell.split("e+")[1]) < 16:
+            elif as_json and "e+" in cell and int(cell.split("e+")[1]) < 16:
                 cell = float.__repr__(float(cell))
         else:
             value = _round_float(value, precision) if rounded else value
-            if json:
+            if as_json:
                 cell = _strict_json(value)
             else:
                 cell = format(value, spec) if isinstance(value, float) else str(value)
@@ -449,7 +461,7 @@ def _round_float(value: Any, precision: int) -> Any:
 def _strict_json(value: Any) -> str:
     """value as json.dumps(indent=2, ensure_ascii=False) writes it; NaN or inf is a DomainError."""
     try:
-        return dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
+        return json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
     except ValueError:
         raise DomainError("an output value is not finite; JSON has no encoding for it") from None
 
@@ -459,7 +471,7 @@ def _json_table(table: _Table, indent: str) -> str:
     if not table.columns or not table.columns[0]:
         return "[]"
     row, count = indent + "  ", len(table.columns[0])
-    keys = [f"{row}  {encode_basestring(name)}: " for name in table.names]
+    keys = [f"{row}  {json.encoder.encode_basestring(name)}: " for name in table.names]
     width = 2 * len(keys)
     parts = [""] * (width * count)
     for field, (key, column) in enumerate(zip(keys, table.columns)):

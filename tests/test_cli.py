@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import jsonschema
@@ -60,6 +61,21 @@ class TestExitCodes:
         code, _, _ = run_cli(["constants", "--precision", "0"])
         assert code == 2
 
+    def test_precision_767_prints_exact_expansions(self, run_cli):
+        # 767 significant digits hold the exact decimal expansion of every double.
+        code, out, _ = run_cli(["constants", "--precision", "767", "--format", "csv"])
+        assert code == 0
+        cells = [value for _, value, _ in list(csv.reader(io.StringIO(out)))[1:]]
+        assert list(map(Decimal, cells)) == list(map(Decimal, DEFAULT_CONSTANTS))
+
+    @pytest.mark.parametrize("precision", [768, 2**31])
+    def test_precision_past_767_is_usage_error(self, run_cli, precision):
+        argv = ["uncertainty", "--length", "1cm", "--precision", str(precision)]
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert f"precision must be at most 767, got {precision}" in err
+
     def test_exclusive_group_rejects_both(self, run_cli):
         code, _, _ = run_cli(["uncertainty", "--length", "1cm", "--time", "1s"])
         assert code == 2
@@ -108,6 +124,15 @@ class TestExitCodes:
         code, _, err = run_cli(["constants", "--config", "/nonexistent/path.conf"])
         assert code == 1
         assert "config" in err
+
+    def test_non_utf8_config_file_is_config_error(self, run_cli, tmp_path):
+        config = tmp_path / "latin1.conf"
+        config.write_bytes(b"c = 3e10\n\xff\xfe hbar = 1\n")
+        code, out, err = run_cli(["constants", "--config", str(config)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("foamlab: error:") and err.count("\n") == 1
+        assert repr(str(config)) in err and "can't decode" in err
 
     @pytest.mark.parametrize("c", ["1e308", "1e-120", "3e-108"])
     def test_config_outside_double_range_is_domain_error(self, run_cli, tmp_path, c):
@@ -734,43 +759,54 @@ def test_module_entry_point_smoke():
 
 NUMPY_FREE_COMMANDS = ["uncertainty", "clock-mass", "fluct", "threshold", "constants", "bounce"]
 
-# Runs in a fresh interpreter: this process has NumPy loaded already.  Each
-# step lists which of the modules named in argv[2] are loaded, so a cost
-# moved from the import into the first command shows too.  Two cores are
-# pinned, so `mc` at two partitions runs worker threads on any host.
+
+def run_fresh(*args: str) -> str:
+    """stdout of a fresh interpreter run with `args`, foamlab imported from src."""
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True, cwd=REPO_ROOT,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    return proc.stdout
+
+
+# Runs in a fresh interpreter, as this process has NumPy, json and csv
+# loaded already, and imports neither json nor csv itself.  argv[1] holds
+# the watched modules, comma-separated, and each later argument one command
+# line.  After each step the probe prints the step and the watched modules
+# then loaded, so a cost moved from the import into the first command shows
+# too.  Two cores are pinned, so `mc` at two partitions runs worker threads
+# on any host.
 IMPORT_PROBE = """
-import contextlib, io, json, os, sys
+import contextlib, io, os, sys
 os.cpu_count = lambda: 2
-def heavy():
-    return [name for name in json.loads(sys.argv[2]) if name in sys.modules]
+watched = sys.argv[1].split(",")
+def step(name):
+    print(name + ":", *[module for module in watched if module in sys.modules])
 import foamlab
-loaded = {"foamlab": heavy()}
+step("foamlab")
 import foamlab.cli
-loaded["foamlab.cli"] = heavy()
-for argv in json.loads(sys.argv[1]):
+step("foamlab.cli")
+for line in sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert foamlab.cli.main(argv) == 0, argv
-    loaded[argv[0]] = heavy()
+        assert foamlab.cli.main(line.split()) == 0, line
+    step(line)
 import foamlab.montecarlo
-loaded["montecarlo"] = "numpy" in sys.modules
-print(json.dumps(loaded))
+step("montecarlo")
 """
 
 
-def run_import_probe(argvs: list[list[str]], modules: list[str]) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs), json.dumps(modules)],
-        capture_output=True, text=True, check=True, cwd=REPO_ROOT,
-        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
-    )
-    return json.loads(proc.stdout)
+def run_import_probe(argvs: list[list[str]], modules: list[str]) -> dict[str, list[str]]:
+    """Step (`foamlab`, `foamlab.cli`, each argv joined, `montecarlo`): watched modules loaded."""
+    stdout = run_fresh("-c", IMPORT_PROBE, ",".join(modules), *map(" ".join, argvs))
+    steps = (line.partition(":") for line in stdout.splitlines())
+    return {step: loaded.split() for step, _, loaded in steps}
 
 
 def test_numpy_free_commands_do_not_load_numpy():
     argvs = [SAMPLE_INVOCATIONS[name] for name in NUMPY_FREE_COMMANDS]
-    steps = ["foamlab", "foamlab.cli", *NUMPY_FREE_COMMANDS]
-    expected = {**dict.fromkeys(steps, []), "montecarlo": True}
-    assert run_import_probe(argvs, ["numpy", "dataclasses", "inspect"]) == expected
+    loaded = run_import_probe(argvs, ["numpy", "dataclasses", "inspect"])
+    assert "numpy" in loaded.pop("montecarlo")
+    assert loaded == dict.fromkeys(["foamlab", "foamlab.cli", *map(" ".join, argvs)], [])
 
 
 def test_mc_and_report_threads_load_no_executor():
@@ -779,8 +815,38 @@ def test_mc_and_report_threads_load_no_executor():
         ["mc", "--length", "1cm", "--samples", "2000001", "--seed", "1", "--partitions", "2"],
         ["report", "--samples", "20000"],
     ]
-    expected = {"foamlab": [], "foamlab.cli": [], "mc": [], "report": [], "montecarlo": True}
-    assert run_import_probe(argvs, ["concurrent.futures"]) == expected
+    steps = ["foamlab", "foamlab.cli", *map(" ".join, argvs), "montecarlo"]
+    assert run_import_probe(argvs, ["concurrent.futures"]) == dict.fromkeys(steps, [])
+
+
+def test_each_step_loads_only_the_modules_it_needs():
+    # Table output of the laws' commands needs neither wigner, bounce, json nor csv.
+    wigner, bounce = "foamlab.wigner", "foamlab.bounce"
+    steps = {
+        "uncertainty --length 1cm": [],
+        "clock-mass --length 1cm": [],
+        "threshold --density 1e-29g/cm3": [],
+        "constants": [],
+        "fluct --length 1e-5cm": [wigner],
+        "bounce --curvature 4e-6 --separation 1cm": [bounce, wigner],
+        "uncertainty --length 1cm --format json": [bounce, wigner, "json"],
+        "uncertainty --length 1cm --format csv": [bounce, wigner, "json", "csv"],
+    }
+    loaded = run_import_probe(list(map(str.split, steps)), [bounce, wigner, "json", "csv"])
+    expected = {"foamlab": [], "foamlab.cli": [], **steps}
+    assert loaded == {**expected, "montecarlo": [bounce, wigner, "json", "csv"]}
+
+
+def test_lazy_names_resolve_after_a_bare_import():
+    # dir() lists every public name (PEP 562 __dir__), and the lazy submodules
+    # are attributes of the package as when they were imported with it.
+    probe = """
+import sys, foamlab
+print(sorted(set(foamlab.__all__) - set(dir(foamlab))))
+print(foamlab.wigner is sys.modules["foamlab.wigner"])
+print(foamlab.bounce is sys.modules["foamlab.bounce"])
+"""
+    assert run_fresh("-c", probe) == "[]\nTrue\nTrue\n"
 
 
 def test_public_names_resolve_to_their_submodule():
