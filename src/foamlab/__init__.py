@@ -29,11 +29,10 @@ from .laws import UncertaintyLaw
 # Public name: the submodule that defines it.  Neither the submodules nor these
 # names are bound at import; the first access imports them (PEP 562).
 _LAZY = {
-    "PulseTriplet": "wigner",
     "TripletCovariance": "wigner",
+    "curvature_from_second_difference": "wigner",
     "curvature_uncertainty": "wigner",
     "density_fluctuation": "wigner",
-    "estimate_curvature": "wigner",
     "riemann_scalar_fluctuation": "wigner",
     "second_difference_variance": "wigner",
     "BounceModel": "bounce",
@@ -73,21 +72,5 @@ __all__ = [
     "ConsistencyError",
     "DomainError",
     "UncertaintyLaw",
-    "PulseTriplet",
-    "TripletCovariance",
-    "curvature_uncertainty",
-    "density_fluctuation",
-    "estimate_curvature",
-    "riemann_scalar_fluctuation",
-    "second_difference_variance",
-    "McConfig",
-    "McResult",
-    "ngvandam_covariance",
-    "verify_curvature_uncertainty",
-    "BounceModel",
-    "BounceRecord",
-    "simulate_round_trips",
-    "ClaimReport",
-    "ClaimRow",
-    "build_claim_report",
+    *_LAZY,
 ]

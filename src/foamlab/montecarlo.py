@@ -9,7 +9,9 @@ symmetry cov12 = cov23, pins a unique covariance for (t1, t2, t3):
     Var(t1 + t2 + t3)     = 3^(2/3) sigma^2
 
 ngvandam_covariance builds that matrix, and verify_curvature_uncertainty
-samples it to reproduce the closed-form noise empirically.  The law only
+samples it, and no other, to reproduce the closed-form noise empirically.
+Its correlation matrix is strictly positive definite (smallest eigenvalue
+about 0.6836), so it has a Cholesky factor at every l.  The law only
 fixes first and second moments; samples are Gaussian (the maximum-entropy
 choice, and any distribution with these moments gives the same
 second-difference variance).
@@ -21,10 +23,11 @@ analysed in fluctuation space (zero-mean deltas); the second difference
 annihilates the common mean anyway.
 
 One normal per sample: a sample's second difference is z . (F^T w), with
-z three standard normals, F F^T the covariance and w = (1, -2, 1).  That
-is exactly N(0, |F^T w|^2), so each sample is drawn as one standard normal
-scaled by |F^T w|.  The scale is taken from the factor F, not from the
-closed form w^T cov w, so the run still checks F along w against it.
+z three standard normals, F the Cholesky factor of the covariance and
+w = (1, -2, 1).  That is exactly N(0, |F^T w|^2), so each sample is drawn
+as one standard normal scaled by |F^T w|.  The scale is taken from the
+factor F, not from the closed form w^T cov w, so the run still checks F
+along w against it.
 
 Streaming: the n samples are split into fixed blocks of BLOCK_ROWS rows.
 Block b draws standard normals from NumPy PCG64 seeded with
@@ -115,10 +118,10 @@ class McConfig(NamedTuple):
 class McResult(NamedTuple):
     """Empirical versus closed-form second-difference statistics.
 
-    closed_form_variance is second_difference_variance of the sampled
-    covariance (VARIANCE_RATIO * sigma2 for the cube-root matrix);
-    closed_form_delta_c is the closed-form noise law at l, bit-identical
-    to wigner.curvature_uncertainty.
+    closed_form_variance is second_difference_variance of the cube-root
+    covariance that was sampled, VARIANCE_RATIO * sigma2; closed_form_delta_c
+    is the closed-form noise law at l, bit-identical to
+    wigner.curvature_uncertainty.
     """
 
     empirical_variance: float
@@ -147,20 +150,18 @@ def ngvandam_covariance(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -
 def verify_curvature_uncertainty(
     config: McConfig,
     constants: ConstantSet = DEFAULT_CONSTANTS,
-    cov_override: TripletCovariance | None = None,
     *,
     alongside: Callable[[], None] | None = None,
 ) -> McResult:
     """Empirically reproduce the closed-form curvature noise at config.l.
 
     Streams the second differences of Gaussian triplets of the cube-root
-    covariance (or cov_override, a test hook), one normal per sample and
-    block by block as the module docstring describes, and compares the
-    sample variance against the closed form.  The empirical delta_C uses
-    the linearized estimator sqrt(Var) * c / (11 l^2).  A delta_C that is
-    not a normal double at config.l, or a covariance whose second
-    difference has no variance, raises DomainError.  constants defaults
-    to DEFAULT_CONSTANTS.
+    covariance at config.l, one normal per sample and block by block as
+    the module docstring describes, and compares the sample variance
+    against the closed form.  The empirical delta_C uses the linearized
+    estimator sqrt(Var) * c / (11 l^2).  A delta_C that is not a normal
+    double at config.l raises DomainError.  constants defaults to
+    DEFAULT_CONSTANTS.
 
     The blocks compute on min(n_partitions, os.cpu_count(), blocks)
     threads, the calling thread among them.  alongside, if given, is
@@ -175,13 +176,8 @@ def verify_curvature_uncertainty(
         raise DomainError("n_samples must be at least 2 to estimate a variance")
     # Checked first, so the error names l: where delta_C overflows, t = l/c underflows to 0.
     closed_form_delta_c = curvature_uncertainty(config.l, constants)
-    cov = cov_override if cov_override is not None else ngvandam_covariance(config.l, constants)
-    # Validates cov; _psd_factor relies on that.
-    closed_form_variance = second_difference_variance(cov)
-    if not closed_form_variance > 0:
-        raise DomainError(
-            f"second-difference variance must be positive, got {closed_form_variance!r}"
-        )
+    cov = ngvandam_covariance(config.l, constants)
+    closed_form_variance = second_difference_variance(cov)  # validates cov
     block = functools.partial(_block_moments, config.seed, _second_difference_scale(cov))
     n = config.n_samples
     sizes = [min(BLOCK_ROWS, n - start) for start in range(0, n, BLOCK_ROWS)]
@@ -277,21 +273,10 @@ def _combine(a: Moments, b: Moments) -> Moments:
 
 
 def _second_difference_scale(cov: TripletCovariance) -> float:
-    """|F^T w|, the standard deviation of t1 - 2 t2 + t3, from the factor F of cov."""
-    factor = _psd_factor(cov)
-    return math.hypot(*(factor[0] - 2.0 * factor[1] + factor[2]))
+    """|F^T w|, the standard deviation of t1 - 2 t2 + t3, from the Cholesky factor F of cov.
 
-
-def _psd_factor(cov: TripletCovariance) -> np.ndarray:
-    """Factor F with F F^T = cov, for a cov that has passed cov.validate().
-
-    Cholesky when strictly positive definite; on the PSD boundary (for
-    example the all-ones correlation) an eigenvalue factor with negatives
-    clipped at zero.
+    The cube-root covariance is strictly positive definite, so Cholesky
+    needs no fallback.
     """
-    matrix = cov.matrix()
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        values, vectors = np.linalg.eigh(matrix)
-        return vectors * np.sqrt(np.clip(values, 0.0, None))
+    factor = np.linalg.cholesky(cov.matrix())
+    return math.hypot(*(factor[0] - 2.0 * factor[1] + factor[2]))

@@ -57,18 +57,6 @@ PSD_RTOL = 1e-12
 _ROUTE_RTOL = 1e-12
 
 
-class PulseTriplet(NamedTuple):
-    """Three successive round-trip flight times (seconds)."""
-
-    t1: TimeInterval
-    t2: TimeInterval
-    t3: TimeInterval
-
-    def validate(self) -> None:
-        for name, value in (("t1", self.t1), ("t2", self.t2), ("t3", self.t3)):
-            require_positive_finite(name, value)
-
-
 class TripletCovariance(NamedTuple):
     """3x3 covariance of (t1, t2, t3) with equal diagonal entries.
 
@@ -109,27 +97,17 @@ class TripletCovariance(NamedTuple):
             )
 
 
-def estimate_curvature(
-    triplet: PulseTriplet, constants: ConstantSet = DEFAULT_CONSTANTS
-) -> Curvature:
-    """Average curvature (t1 - 2 t2 + t3) / (11 c t2^2) in 1/cm.
-
-    The second difference makes the estimate invariant under affine
-    trends in the pulse index and linear in (t1, t3) at fixed t2; the
-    sign of the second difference is preserved.  constants defaults to
-    DEFAULT_CONSTANTS.
-    """
-    triplet.validate()
-    second_difference = triplet.t1 - 2.0 * triplet.t2 + triplet.t3
-    return curvature_from_second_difference(second_difference, triplet.t2, constants)
-
-
 def curvature_from_second_difference(
     second_difference: TimeInterval, t2: TimeInterval, constants: ConstantSet = DEFAULT_CONSTANTS
 ) -> Curvature:
-    """estimate_curvature from a second difference t1 - 2 t2 + t3 known apart from the times.
+    """Average curvature (t1 - 2 t2 + t3) / (11 c t2^2) in 1/cm, Wigner's estimator.
 
-    t2 must be strictly positive and finite.  constants defaults to DEFAULT_CONSTANTS.
+    Takes the second difference t1 - 2 t2 + t3 of three successive
+    round-trip flight times (seconds) and the middle time t2, so a caller
+    may form the second difference from fluctuations without the times
+    themselves.  The estimate is linear in the second difference and has
+    its sign; affine trends in the flight times cancel in it.  t2 must be
+    strictly positive and finite.  constants defaults to DEFAULT_CONSTANTS.
     """
     require_positive_finite("t2", t2)
     # Dividing by t2 twice: t2**2 underflows to zero below ~1e-162 s.
@@ -244,10 +222,11 @@ def _evaluate(name: str, l: Length, formula: Callable[[], float]) -> float:
 
     A float power that leaves the double range raises OverflowError, and
     1/l**2 raises ZeroDivisionError once l**2 underflows; both mean the
-    law at l is outside double precision.
+    law at l is outside double precision.  The error names no direction,
+    since l**2 overflows at lengths where delta_R itself underflows.
     """
     try:
         value = formula()
     except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"{name} at l = {l!r} cm overflows a double") from None
+        raise DomainError(f"{name} at l = {l!r} cm is not a representable double") from None
     return require_representable(name, value, l)

@@ -421,6 +421,8 @@ class TestWholeRange:
     @example(l=1e-313)
     @example(l=1e-300)
     @example(l=1e-200)
+    @example(l=3.9e-199)  # near the ends (3.71e-199, 1.30e171 cm) of the l at which mc exits 0
+    @example(l=1.2e171)
     @example(l=1e155)
     @example(l=1e300)
     def test_exits_cleanly(self, run_cli, sweep_references, command, l):

@@ -16,7 +16,6 @@ from foamlab.montecarlo import (
     ADJACENT_CORRELATION,
     OUTER_CORRELATION,
     McConfig,
-    _psd_factor,
     _second_difference_scale,
     ngvandam_covariance,
     verify_curvature_uncertainty,
@@ -107,42 +106,22 @@ class TestEigenvalues:
 
 
 class TestSampling:
-    @pytest.mark.parametrize(
-        "cov",
-        [ngvandam_covariance(1.0), TripletCovariance(sigma2=1.0, cov12=1.0, cov23=1.0, cov13=1.0)],
-        ids=["cube-root", "all-ones"],
-    )
+    @pytest.mark.parametrize("cov", [ngvandam_covariance(1.0)], ids=["cube-root"])
     def test_factor_reproduces_covariance(self, cov):
-        factor = _psd_factor(cov)
         matrix = cov.matrix()
+        factor = np.linalg.cholesky(matrix)
         assert np.max(np.abs(factor @ factor.T - matrix)) <= 1e-12 * np.max(np.abs(matrix))
 
     @pytest.mark.parametrize(
-        "cov, cholesky",
-        [
-            (ngvandam_covariance(1.0), True),
-            # t2 = -t1, t3 = t1: rank one, so Cholesky fails and _psd_factor
-            # takes its eigh branch, but t1 - 2 t2 + t3 = 4 t1 has variance 16.
-            (TripletCovariance(sigma2=1.0, cov12=-1.0, cov23=-1.0, cov13=1.0), False),
-        ],
-        ids=["cube-root", "alternating"],
+        "cov",
+        [ngvandam_covariance(1.0), ngvandam_covariance(3.9e-199), ngvandam_covariance(1.2e171)],
+        ids=["cube-root", "cube-root-shortest", "cube-root-longest"],
     )
-    def test_scale_squared_is_second_difference_variance(self, cov, cholesky):
-        try:
-            np.linalg.cholesky(cov.matrix())
-        except np.linalg.LinAlgError:
-            assert not cholesky
-        else:
-            assert cholesky
+    def test_scale_squared_is_second_difference_variance(self, cov):
+        # Cholesky alone factors the cube-root matrix here and near both ends
+        # (3.71e-199, 1.30e171 cm) of the l at which delta_C is a normal double.
         variance = second_difference_variance(cov)
         assert abs(_second_difference_scale(cov) ** 2 - variance) <= 8 * math.ulp(variance)
-
-    def test_rejects_indefinite_covariance(self):
-        bad = TripletCovariance(sigma2=1.0, cov12=-0.8, cov23=-0.8, cov13=-0.8)
-        with pytest.raises(DomainError, match="eigenvalue"):
-            verify_curvature_uncertainty(
-                McConfig(l=1.0, n_samples=10, seed=0), cov_override=bad
-            )
 
     def test_validates_covariance_once(self, monkeypatch):
         calls = []
@@ -155,12 +134,6 @@ class TestSampling:
         monkeypatch.setattr(TripletCovariance, "validate", counted)
         verify_curvature_uncertainty(McConfig(l=1.0, n_samples=100, seed=1))
         assert len(calls) == 1
-
-    def test_rejects_zero_variance_covariance(self):
-        # The all-ones correlation is PSD, but its second difference is exactly 0.
-        ones = TripletCovariance(sigma2=1.0, cov12=1.0, cov23=1.0, cov13=1.0)
-        with pytest.raises(DomainError, match="variance must be positive"):
-            verify_curvature_uncertainty(McConfig(l=1.0, n_samples=10, seed=0), cov_override=ones)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -193,15 +166,6 @@ class TestVerification:
     def test_closed_form_delta_c_bit_identical_to_law(self):
         result = verify_curvature_uncertainty(McConfig(l=1.0, n_samples=100, seed=5))
         assert result.closed_form_delta_c == curvature_uncertainty(1.0)
-
-    def test_identity_override_baseline(self):
-        sigma2 = ngvandam_covariance(1.0).sigma2
-        identity = TripletCovariance(sigma2=sigma2, cov12=0.0, cov23=0.0, cov13=0.0)
-        result = verify_curvature_uncertainty(
-            McConfig(l=1.0, n_samples=1_000_000, seed=7), cov_override=identity
-        )
-        assert result.empirical_variance / sigma2 == pytest.approx(6.0, rel=0.01, abs=0)
-        assert result.closed_form_variance == pytest.approx(6.0 * sigma2, rel=1e-12, abs=0)
 
     def test_bit_stable_for_fixed_seed_and_partitions(self):
         config = McConfig(l=1.0, n_samples=50_000, seed=11, n_partitions=8)

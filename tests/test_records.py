@@ -8,13 +8,12 @@ from foamlab.errors import DomainError
 from foamlab.laws import UncertaintyLaw
 from foamlab.montecarlo import McConfig, McResult
 from foamlab.report import ClaimReport, ClaimRow
-from foamlab.wigner import PulseTriplet, TripletCovariance
+from foamlab.wigner import TripletCovariance
 
 ROW = ClaimRow("a", "a claim", "~1", 1.0, "-", "reproduced", "1%", "closed-form")
 
 RECORDS = [
     DEFAULT_CONSTANTS,
-    PulseTriplet(1.0, 1.0, 1.0),
     TripletCovariance(1.0, 0.0, 0.0, 0.0),
     BounceRecord((1.0,), (0.0,), 0.0, (0.0,)),
     McConfig(1.0, 10, 0),
@@ -35,7 +34,7 @@ def test_records_are_immutable(record):
 
 
 def test_records_compare_as_tuples():
-    assert PulseTriplet(1.0, 2.0, 3.0) == (1.0, 2.0, 3.0)
+    assert TripletCovariance(1.0, 0.0, 0.0, 0.5) == (1.0, 0.0, 0.0, 0.5)
     assert UncertaintyLaw() == (DEFAULT_CONSTANTS,)
 
 

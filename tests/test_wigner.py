@@ -9,11 +9,10 @@ from foamlab.errors import DomainError
 from foamlab.wigner import (
     CURVATURE_NOISE_COEFF,
     VARIANCE_RATIO,
-    PulseTriplet,
     TripletCovariance,
+    curvature_from_second_difference,
     curvature_uncertainty,
     density_fluctuation,
-    estimate_curvature,
     riemann_scalar_fluctuation,
     second_difference_variance,
 )
@@ -40,45 +39,57 @@ def random_correlation(rng) -> TripletCovariance:
     )
 
 
+def estimate(t1, t2, t3, constants=DEFAULT_CONSTANTS):
+    """The estimate from three flight times: the second difference, then the estimator."""
+    return curvature_from_second_difference(t1 - 2.0 * t2 + t3, t2, constants)
+
+
 class TestEstimateCurvature:
     def test_equal_times_give_zero(self):
-        assert estimate_curvature(PulseTriplet(2.5, 2.5, 2.5)) == 0.0
+        assert estimate(2.5, 2.5, 2.5) == 0.0
 
     def test_exact_linear_drift_gives_zero(self):
         # binary-exact drift: the second difference cancels without rounding
-        assert estimate_curvature(PulseTriplet(1.5, 1.0, 0.5)) == 0.0
+        assert estimate(1.5, 1.0, 0.5) == 0.0
 
     def test_decimal_linear_drift_is_noise_level(self):
-        assert abs(estimate_curvature(PulseTriplet(1.1, 1.0, 0.9))) < 1e-25
+        assert abs(estimate(1.1, 1.0, 0.9)) < 1e-25
 
     def test_micro_bump_value(self):
-        c_est = estimate_curvature(PulseTriplet(1.0, 1.0, 1.0 + 2**-20))
-        assert c_est == pytest.approx(ESTIMATE_MICRO_BUMP, rel=1e-12, abs=0)
+        assert curvature_from_second_difference(2**-20, 1.0) == pytest.approx(
+            ESTIMATE_MICRO_BUMP, rel=1e-12, abs=0
+        )
+        assert estimate(1.0, 1.0, 1.0 + 2**-20) == pytest.approx(
+            ESTIMATE_MICRO_BUMP, rel=1e-12, abs=0
+        )
 
     def test_sign_follows_second_difference(self):
-        assert estimate_curvature(PulseTriplet(1.0, 1.0, 1.0 + 1e-6)) > 0
-        assert estimate_curvature(PulseTriplet(1.0, 1.0 + 1e-6, 1.0)) < 0
+        assert curvature_from_second_difference(1e-6, 1.0) > 0
+        assert curvature_from_second_difference(-1e-6, 1.0) < 0
+        assert estimate(1.0, 1.0 + 1e-6, 1.0) < 0
 
     @given(
-        t1=st.floats(min_value=0.5, max_value=2.0),
-        t3=st.floats(min_value=0.5, max_value=2.0),
+        second_difference=st.floats(min_value=-1.0, max_value=1.0),
         bump=st.floats(min_value=1e-6, max_value=0.1),
     )
-    def test_linear_in_outer_times(self, t1, t3, bump):
+    def test_linear_in_outer_times(self, second_difference, bump):
+        # Linear in the second difference at fixed t2, so in t1 and t3 alike.
         cs = DEFAULT_CONSTANTS
-        base = estimate_curvature(PulseTriplet(t1, 1.0, t3), cs)
-        bumped = estimate_curvature(PulseTriplet(t1 + bump, 1.0, t3), cs)
+        base = curvature_from_second_difference(second_difference, 1.0, cs)
+        bumped = curvature_from_second_difference(second_difference + bump, 1.0, cs)
         assert bumped - base == pytest.approx(bump / (11.0 * cs.c), rel=1e-9, abs=0)
 
     def test_subnormal_times(self):
         # t2**2 underflows to zero here; dividing by t2 twice does not.
-        assert estimate_curvature(PulseTriplet(1e-311, 1e-311, 1e-311)) == 0.0
+        assert estimate(1e-311, 1e-311, 1e-311) == 0.0
+        assert curvature_from_second_difference(1e-311, 1e-311) == pytest.approx(
+            1.0 / (11.0 * DEFAULT_CONSTANTS.c) / 1e-311, rel=1e-3, abs=0
+        )
 
     def test_rejects_nonpositive_times(self):
-        with pytest.raises(DomainError):
-            estimate_curvature(PulseTriplet(1.0, 0.0, 1.0))
-        with pytest.raises(DomainError):
-            estimate_curvature(PulseTriplet(1.0, 1.0, -1.0))
+        for t2 in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="t2"):
+                curvature_from_second_difference(0.0, t2)
 
 
 class TestSecondDifferenceVariance:
@@ -228,3 +239,10 @@ class TestClosedFormChain:
             with pytest.raises(DomainError, match="l = "):
                 op(l)
 
+    @pytest.mark.parametrize("l", [1e-200, 1e155, 1e300])
+    def test_scalar_error_names_no_direction(self, l):
+        # l**2 overflows from 1.34e154 cm, where delta_R underflows; 1/l**2
+        # divides by an underflowed zero at 1e-200 cm, where delta_R overflows.
+        with pytest.raises(DomainError, match="is not a representable double") as error:
+            riemann_scalar_fluctuation(l)
+        assert "overflow" not in str(error.value) and "underflow" not in str(error.value)
