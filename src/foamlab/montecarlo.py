@@ -44,13 +44,9 @@ the threads that compute blocks, the calling thread among them, at
 min(n_partitions, os.cpu_count(), number of blocks).  It never changes
 what is drawn or the merge order, so results are bit-identical across
 partition counts.  Block keys stay below the report's batch key 1_000_003
-(report._max_identity_gap) for n_samples below about 1e12.
-
-Overlap: a caller may pass independent work as `alongside`, which the
-calling thread runs in place of its share of the blocks, so the blocks
-run on that many worker threads beside it; the report checks its
-identity batch this way.  Worker threads call only private helpers and
-NumPy, and every public call stays on the calling thread.
+(report._max_identity_gap) for n_samples below about 1e12.  Worker
+threads call only private helpers and NumPy, and every public call stays
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ import functools
 import math
 import os
 import threading
-from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -95,9 +90,8 @@ Moments = tuple[int, float, float]
 class McConfig(NamedTuple):
     """Sampling parameters for one verification run.
 
-    n_partitions caps the threads that compute blocks; results do not
-    depend on it.  The calling thread is one of them, unless the call
-    passes `alongside` work, which it runs in place of its share.
+    n_partitions caps the threads that compute blocks, the calling thread
+    among them; results do not depend on it.
     """
 
     l: Length
@@ -148,10 +142,7 @@ def ngvandam_covariance(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -
 
 
 def verify_curvature_uncertainty(
-    config: McConfig,
-    constants: ConstantSet = DEFAULT_CONSTANTS,
-    *,
-    alongside: Callable[[], None] | None = None,
+    config: McConfig, constants: ConstantSet = DEFAULT_CONSTANTS
 ) -> McResult:
     """Empirically reproduce the closed-form curvature noise at config.l.
 
@@ -164,12 +155,9 @@ def verify_curvature_uncertainty(
     DEFAULT_CONSTANTS.
 
     The blocks compute on min(n_partitions, os.cpu_count(), blocks)
-    threads, the calling thread among them.  alongside, if given, is
-    called once on the calling thread in place of its share of the blocks,
-    so independent NumPy work overlaps the sampling on another core.  An
-    exception from alongside or a Ctrl-C, or else the first from a block,
-    stops the threads after their current block and is raised here once
-    every thread has joined.
+    threads, the calling thread among them.  A Ctrl-C, or else the first
+    exception from a block, stops the threads after their current block
+    and is raised here once every thread has joined.
     """
     config.validate()
     if config.n_samples < 2:
@@ -198,14 +186,14 @@ def verify_curvature_uncertainty(
 
     threads = []
     try:
-        for _ in range(workers - (alongside is None)):
+        for _ in range(workers - 1):
             thread = threading.Thread(target=work, name="foamlab-mc-blocks")
             thread.start()
             threads.append(thread)
-        (alongside or work)()
+        work()
         for thread in threads:
             thread.join()
-    except BaseException as error:  # from alongside, or Ctrl-C while joining
+    except BaseException as error:  # Ctrl-C while starting or joining the threads
         errors.append(error)  # the threads stop after their current block
         for thread in threads:
             thread.join()

@@ -61,39 +61,31 @@ class TripletCovariance(NamedTuple):
     """3x3 covariance of (t1, t2, t3) with equal diagonal entries.
 
     Units are time^2.  cov12/cov23 are the adjacent covariances, cov13
-    the outer one; the matrix view is symmetric by construction.  The
-    fields may also be broadcastable arrays, describing a stack of
-    matrices that is validated and evaluated elementwise in one pass.
+    the outer one; the matrix view is symmetric by construction.
     """
 
-    sigma2: float | np.ndarray
-    cov12: float | np.ndarray
-    cov23: float | np.ndarray
-    cov13: float | np.ndarray
+    sigma2: float
+    cov12: float
+    cov23: float
+    cov13: float
 
     def matrix(self) -> np.ndarray:
-        """The matrix, or a stack of shape (..., 3, 3) for array fields."""
         import numpy as np  # here, not at module level: the closed forms run without NumPy
 
-        s, c12, c23, c13 = np.broadcast_arrays(self.sigma2, self.cov12, self.cov23, self.cov13)
-        rows = (s, c12, c13, c12, s, c23, c13, c23, s)
-        return np.stack(rows, axis=-1).reshape(s.shape + (3, 3))
+        s, c12, c23, c13 = self
+        return np.array([[s, c12, c13], [c12, s, c23], [c13, c23, s]])
 
     def validate(self) -> None:
         import numpy as np
 
-        matrix = self.matrix()
-        if not np.isfinite(matrix).all():
-            entries = (self.sigma2, self.cov12, self.cov23, self.cov13)
-            raise DomainError(f"covariance entries must be finite, got {entries!r}")
-        if np.any(self.sigma2 <= 0):
+        if not all(math.isfinite(entry) for entry in self):
+            raise DomainError(f"covariance entries must be finite, got {tuple(self)!r}")
+        if self.sigma2 <= 0:
             raise DomainError(f"sigma2 must be strictly positive, got {self.sigma2!r}")
-        smallest = np.linalg.eigvalsh(matrix)[..., 0]
-        indefinite = smallest < -PSD_RTOL * self.sigma2
-        if np.any(indefinite):
+        smallest = float(np.linalg.eigvalsh(self.matrix())[0])
+        if smallest < -PSD_RTOL * self.sigma2:
             raise DomainError(
-                "covariance is not positive semidefinite: smallest eigenvalue "
-                f"{float(np.min(smallest[indefinite]))!r}"
+                f"covariance is not positive semidefinite: smallest eigenvalue {smallest!r}"
             )
 
 
@@ -114,7 +106,7 @@ def curvature_from_second_difference(
     return second_difference / (11.0 * constants.c * t2) / t2
 
 
-def second_difference_variance(cov: TripletCovariance) -> float | np.ndarray:
+def second_difference_variance(cov: TripletCovariance) -> float:
     """Var(t1 - 2 t2 + t3) in time^2, computed two equivalent ways.
 
     Route one is the direct quadratic form with weights (1, -2, 1); route
@@ -125,33 +117,32 @@ def second_difference_variance(cov: TripletCovariance) -> float | np.ndarray:
 
     The two are an algebraic identity for any joint distribution, so any
     disagreement (beyond 1e-12 relative to the matrix scale) raises
-    ConsistencyError.  Scalar fields give a float; array fields give the
-    elementwise variances, and any one element that disagrees raises.
+    ConsistencyError.
     """
-    import numpy as np
-
     cov.validate()
-    direct = (
-        6.0 * cov.sigma2
-        - 4.0 * cov.cov12
-        - 4.0 * cov.cov23
-        + 2.0 * cov.cov13
-    )
-    var_12 = 2.0 * cov.sigma2 + 2.0 * cov.cov12
-    var_23 = 2.0 * cov.sigma2 + 2.0 * cov.cov23
-    var_123 = 3.0 * cov.sigma2 + 2.0 * (cov.cov12 + cov.cov23 + cov.cov13)
-    six_term = (
-        3.0 * cov.sigma2 + 9.0 * cov.sigma2 + 3.0 * cov.sigma2
-        - 3.0 * var_12 - 3.0 * var_23 + var_123
-    )
+    direct, six_term = _variance_routes(*cov)
     # Relative to the matrix scale as well, since the variance itself may
     # legitimately cancel to zero (perfectly correlated triplets).
-    scale = np.maximum(np.maximum(abs(direct), abs(six_term)), cov.sigma2)
-    if np.any(abs(direct - six_term) > _ROUTE_RTOL * scale):
+    if abs(direct - six_term) > _ROUTE_RTOL * max(abs(direct), abs(six_term), cov.sigma2):
         raise ConsistencyError(
             f"second-difference variance routes disagree: direct {direct!r} vs six-term {six_term!r}"
         )
     return direct
+
+
+def _variance_routes(sigma2, cov12, cov23, cov13):
+    """(direct, six-term) values of Var(t1 - 2 t2 + t3); see second_difference_variance.
+
+    Elementwise IEEE arithmetic only, so NumPy array fields give each
+    element's pair bit for bit as float fields would; the report's
+    identity batch takes them that way.
+    """
+    direct = 6.0 * sigma2 - 4.0 * cov12 - 4.0 * cov23 + 2.0 * cov13
+    var_12 = 2.0 * sigma2 + 2.0 * cov12
+    var_23 = 2.0 * sigma2 + 2.0 * cov23
+    var_123 = 3.0 * sigma2 + 2.0 * (cov12 + cov23 + cov13)
+    six_term = 3.0 * sigma2 + 9.0 * sigma2 + 3.0 * sigma2 - 3.0 * var_12 - 3.0 * var_23 + var_123
+    return direct, six_term
 
 
 def curvature_uncertainty(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> Curvature:

@@ -106,12 +106,6 @@ class TestEigenvalues:
 
 
 class TestSampling:
-    @pytest.mark.parametrize("cov", [ngvandam_covariance(1.0)], ids=["cube-root"])
-    def test_factor_reproduces_covariance(self, cov):
-        matrix = cov.matrix()
-        factor = np.linalg.cholesky(matrix)
-        assert np.max(np.abs(factor @ factor.T - matrix)) <= 1e-12 * np.max(np.abs(matrix))
-
     @pytest.mark.parametrize(
         "cov",
         [ngvandam_covariance(1.0), ngvandam_covariance(3.9e-199), ngvandam_covariance(1.2e171)],
@@ -120,6 +114,9 @@ class TestSampling:
     def test_scale_squared_is_second_difference_variance(self, cov):
         # Cholesky alone factors the cube-root matrix here and near both ends
         # (3.71e-199, 1.30e171 cm) of the l at which delta_C is a normal double.
+        matrix = cov.matrix()
+        factor = np.linalg.cholesky(matrix)
+        assert np.max(np.abs(factor @ factor.T - matrix)) <= 1e-12 * np.max(np.abs(matrix))
         variance = second_difference_variance(cov)
         assert abs(_second_difference_scale(cov) ** 2 - variance) <= 8 * math.ulp(variance)
 
@@ -255,6 +252,62 @@ class TestVerification:
         # The other thread finishes the block it holds and takes no more.
         assert len(taken) < 50
 
+    @pytest.mark.parametrize("samples, partitions", [(100, 1), (2_500_000, 2)])
+    def test_block_error_is_raised_on_caller_after_join(self, monkeypatch, samples, partitions):
+        def failing(*args):
+            raise ZeroDivisionError("block failed")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_block_moments", failing)
+        threads = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="block failed"):
+            verify_curvature_uncertainty(
+                McConfig(l=1.0, n_samples=samples, seed=1, n_partitions=partitions)
+            )
+        assert threading.active_count() == threads
+
+    def test_interrupt_while_joining_stops_blocks(self, monkeypatch):
+        # The calling thread's first block waits until the worker holds one,
+        # and the worker's block waits until the calling thread joins it.
+        # The first join raises Ctrl-C; only the second lets the worker go.
+        caller = threading.get_ident()
+        started, taken, interrupted = [], [], []
+        worker_block, joining = threading.Event(), threading.Event()
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+            def join(self, timeout=None):
+                if not interrupted:
+                    interrupted.append(True)
+                    raise KeyboardInterrupt
+                joining.set()
+                super().join(timeout)
+
+        def held(seed, scale, index, rows):
+            taken.append((threading.get_ident() == caller, index))
+            if threading.get_ident() == caller:
+                worker_block.wait(10.0)
+            else:
+                worker_block.set()
+                joining.wait(10.0)
+            return rows, 0.0, float(rows)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_block_moments", held)
+        monkeypatch.setattr(montecarlo, "threading", types.SimpleNamespace(Thread=Thread))
+        with pytest.raises(KeyboardInterrupt):
+            verify_curvature_uncertainty(
+                McConfig(l=1.0, n_samples=2_500_000, seed=1, n_partitions=2)
+            )
+        assert len(started) == 1
+        assert not started[0].is_alive()
+        # Every block was taken once; the worker held one when Ctrl-C came.
+        assert sorted(index for _, index in taken) == [0, 1, 2]
+        assert [on_caller for on_caller, _ in taken].count(False) >= 1
+
     def test_convergence_scales_as_inverse_sqrt(self):
         # rms relative error over 10 seeds should drop ~10x from 1e4 to 1e6 samples
         def rms_error(n: int) -> float:
@@ -266,107 +319,3 @@ class TestVerification:
 
         ratio = rms_error(10_000) / rms_error(1_000_000)
         assert 10 / 3 < ratio < 30
-
-
-class TestAlongside:
-    """verify_curvature_uncertainty(..., alongside=f) runs f beside the blocks."""
-
-    @pytest.mark.parametrize(
-        "samples, partitions",
-        [(100_000, 1), (2_500_000, 2)],
-        ids=["1-worker", "2-workers"],
-    )
-    def test_runs_once_on_calling_thread_and_changes_nothing(
-        self, monkeypatch, samples, partitions
-    ):
-        config = McConfig(l=1.0, n_samples=samples, seed=9, n_partitions=partitions)
-        alone = verify_curvature_uncertainty(config)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        callers = []
-        beside = verify_curvature_uncertainty(
-            config, alongside=lambda: callers.append(threading.get_ident())
-        )
-        assert beside == alone
-        assert callers == [threading.get_ident()]
-
-    @pytest.mark.parametrize("samples, partitions", [(100, 1), (2_500_000, 2)])
-    def test_block_error_is_raised_on_caller_after_join(self, monkeypatch, samples, partitions):
-        def failing(*args):
-            raise ZeroDivisionError("block failed")
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(montecarlo, "_block_moments", failing)
-        threads = threading.active_count()
-        ran = []
-        with pytest.raises(ZeroDivisionError, match="block failed"):
-            verify_curvature_uncertainty(
-                McConfig(l=1.0, n_samples=samples, seed=1, n_partitions=partitions),
-                alongside=lambda: ran.append(True),
-            )
-        assert ran == [True]
-        assert threading.active_count() == threads
-
-    @staticmethod
-    def hold_blocks(monkeypatch, interrupt_first_join=False):
-        """Make each block wait until the caller joins a worker thread.
-
-        The caller joins only after recording an alongside error, or a
-        Ctrl-C that interrupt_first_join raises from its first join, so no
-        block ends before the error.  Returns the started threads, the
-        block indices taken, and an Event set once a block is taken.
-        """
-        started, taken, interrupted = [], [], []
-        block_taken, joining = threading.Event(), threading.Event()
-
-        class Thread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-            def join(self, timeout=None):
-                if interrupt_first_join and not interrupted:
-                    interrupted.append(block_taken.wait(10.0))
-                    raise KeyboardInterrupt
-                joining.set()
-                super().join(timeout)
-
-        def held(seed, scale, index, rows):
-            taken.append(index)
-            block_taken.set()
-            joining.wait(10.0)
-            return rows, 0.0, float(rows)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(montecarlo, "_block_moments", held)
-        monkeypatch.setattr(montecarlo, "threading", types.SimpleNamespace(Thread=Thread))
-        return started, taken, block_taken
-
-    @pytest.mark.parametrize("samples, partitions", [(100, 1), (2_500_000, 2)])
-    def test_alongside_error_still_joins_blocks(self, monkeypatch, samples, partitions):
-        started, taken, block_taken = self.hold_blocks(monkeypatch)
-
-        def failing():
-            block_taken.wait(10.0)
-            raise ZeroDivisionError("alongside failed")
-
-        with pytest.raises(ZeroDivisionError, match="alongside failed"):
-            verify_curvature_uncertainty(
-                McConfig(l=1.0, n_samples=samples, seed=1, n_partitions=partitions),
-                alongside=failing,
-            )
-        assert len(started) == partitions
-        assert not any(thread.is_alive() for thread in started)
-        # Each thread finished the block it held and took no other.
-        assert 1 <= len(taken) <= len(started)
-
-    def test_interrupt_while_joining_stops_blocks(self, monkeypatch):
-        # Ctrl-C after the alongside work, while the caller waits for the blocks.
-        started, taken, _ = self.hold_blocks(monkeypatch, interrupt_first_join=True)
-        with pytest.raises(KeyboardInterrupt):
-            verify_curvature_uncertainty(
-                McConfig(l=1.0, n_samples=2_500_000, seed=1, n_partitions=2),
-                alongside=lambda: None,
-            )
-        assert len(started) == 2
-        assert not any(thread.is_alive() for thread in started)
-        assert 1 <= len(taken) <= len(started)

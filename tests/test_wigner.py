@@ -128,51 +128,16 @@ class TestSecondDifferenceVariance:
                 TripletCovariance(sigma2=0.0, cov12=0.0, cov23=0.0, cov13=0.0)
             )
 
+    def test_matrix_layout(self):
+        matrix = TripletCovariance(sigma2=1.0, cov12=0.1, cov23=0.2, cov13=0.3).matrix()
+        assert matrix.tolist() == [[1.0, 0.1, 0.3], [0.1, 1.0, 0.2], [0.3, 0.2, 1.0]]
 
-class TestCovarianceStack:
-    @staticmethod
-    def stack(rng, n):
-        sigma2 = rng.uniform(0.5, 2.0, n)
-        corr = [random_correlation(rng) for _ in range(n)]
-        return TripletCovariance(
-            sigma2=sigma2,
-            cov12=sigma2 * np.array([c.cov12 for c in corr]),
-            cov23=sigma2 * np.array([c.cov23 for c in corr]),
-            cov13=sigma2 * np.array([c.cov13 for c in corr]),
-        )
-
-    def test_matches_scalar_calls_bit_for_bit(self):
-        stack = self.stack(np.random.default_rng(11), 500)
-        expected = [
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(DomainError, match="finite"):
             second_difference_variance(
-                TripletCovariance(float(s), float(a), float(b), float(c))
+                TripletCovariance(sigma2=1.0, cov12=0.0, cov23=bad, cov13=0.0)
             )
-            for s, a, b, c in zip(stack.sigma2, stack.cov12, stack.cov23, stack.cov13)
-        ]
-        assert second_difference_variance(stack).tolist() == expected
-
-    def test_matrix_stacks_to_trailing_3x3(self):
-        stack = self.stack(np.random.default_rng(12), 4)
-        matrices = stack.matrix()
-        assert matrices.shape == (4, 3, 3)
-        np.testing.assert_array_equal(matrices, matrices.transpose(0, 2, 1))
-        assert matrices[2, 0, 2] == stack.cov13[2]
-
-    @pytest.mark.parametrize(
-        "entry, match",
-        [
-            ((1.0, -0.8, -0.8, -0.8), "eigenvalue"),
-            ((1.0, 0.0, float("nan"), 0.0), "finite"),
-            ((1.0, 0.0, float("inf"), 0.0), "finite"),
-        ],
-    )
-    def test_one_bad_entry_rejects_the_stack(self, entry, match):
-        stack = self.stack(np.random.default_rng(13), 100)
-        fields = [f.copy() for f in (stack.sigma2, stack.cov12, stack.cov23, stack.cov13)]
-        for field, value in zip(fields, entry):
-            field[57] = value
-        with pytest.raises(DomainError, match=match):
-            second_difference_variance(TripletCovariance(*fields))
 
 
 class TestClosedFormChain:
