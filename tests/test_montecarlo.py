@@ -106,17 +106,22 @@ class TestEigenvalues:
 
 
 class TestSampling:
-    @pytest.mark.parametrize(
+    CUBE_ROOT = pytest.mark.parametrize(
         "cov",
         [ngvandam_covariance(1.0), ngvandam_covariance(3.9e-199), ngvandam_covariance(1.2e171)],
         ids=["cube-root", "cube-root-shortest", "cube-root-longest"],
     )
-    def test_scale_squared_is_second_difference_variance(self, cov):
+
+    @CUBE_ROOT
+    def test_factor_reproduces_covariance(self, cov):
         # Cholesky alone factors the cube-root matrix here and near both ends
         # (3.71e-199, 1.30e171 cm) of the l at which delta_C is a normal double.
         matrix = cov.matrix()
         factor = np.linalg.cholesky(matrix)
         assert np.max(np.abs(factor @ factor.T - matrix)) <= 1e-12 * np.max(np.abs(matrix))
+
+    @CUBE_ROOT
+    def test_scale_squared_is_second_difference_variance(self, cov):
         variance = second_difference_variance(cov)
         assert abs(_second_difference_scale(cov) ** 2 - variance) <= 8 * math.ulp(variance)
 
