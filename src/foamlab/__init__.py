@@ -17,14 +17,9 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .constants import (
-    ConstantSet,
-    load_constants,
-    make_constants,
-    validate_constants,
-)
+from .constants import ConstantSet, load_constants, make_constants
 from .errors import ConfigError, ConsistencyError, DomainError
-from .laws import UncertaintyLaw
+from .laws import clock_mass, length_uncertainty, max_length_for_density, time_uncertainty
 
 # Public name: the submodule that defines it.  Neither the submodules nor these
 # names are bound at import; the first access imports them (PEP 562).
@@ -67,10 +62,12 @@ __all__ = [
     "ConstantSet",
     "load_constants",
     "make_constants",
-    "validate_constants",
     "ConfigError",
     "ConsistencyError",
     "DomainError",
-    "UncertaintyLaw",
+    "clock_mass",
+    "length_uncertainty",
+    "max_length_for_density",
+    "time_uncertainty",
     *_LAZY,
 ]

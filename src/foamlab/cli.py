@@ -20,9 +20,9 @@ import sys
 from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
-from .constants import DEFAULT_CONSTANTS, load_constants, validate_constants
+from .constants import DEFAULT_CONSTANTS, load_constants
 from .errors import ConfigError, ConsistencyError, DomainError
-from .laws import UncertaintyLaw
+from .laws import clock_mass, length_uncertainty, max_length_for_density, time_uncertainty
 
 # Quantity kind: (metavar letter, unit suffix).
 _QUANTITIES = {
@@ -41,9 +41,6 @@ _HELP_LAYOUT = {
     ),
     "formatter_class": argparse.RawDescriptionHelpFormatter,
 }
-
-# The laws are pure and the default constants frozen, so one instance serves every call.
-_LAW = UncertaintyLaw()
 
 _CONSTANT_UNITS = {
     "c": "cm/s", "hbar": "erg s", "G": "cm3/(g s2)", "l_planck": "cm", "t_planck": "s",
@@ -217,7 +214,7 @@ def _cmd_constants(args: argparse.Namespace) -> dict[str, Any]:
     constants = DEFAULT_CONSTANTS
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as handle:
+            with open(args.config, encoding="utf-8-sig") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
@@ -228,7 +225,8 @@ def _cmd_constants(args: argparse.Namespace) -> dict[str, Any]:
         "command": "constants",
         "params": {"config": args.config},
         "rows": _Table(["name", "value", "unit"], columns),
-        "violations": validate_constants(constants),
+        # A ConstantSet cannot be built inconsistent, so there is never a violation to list.
+        "violations": [],
         "warnings": [],
     }
 
@@ -240,7 +238,7 @@ def _cmd_constants(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_uncertainty(args: argparse.Namespace) -> dict[str, Any]:
     kind = "length" if args.length is not None else "time"
     value = getattr(args, kind)
-    delta = _LAW.length_uncertainty(value) if kind == "length" else _LAW.time_uncertainty(value)
+    delta = length_uncertainty(value) if kind == "length" else time_uncertainty(value)
     unit = _QUANTITIES[kind][1]
     params = {"kind": kind, "input": value, "input_unit": unit}
     rows = [(f"delta_{kind}", delta, unit, "closed-form")]
@@ -249,7 +247,7 @@ def _cmd_uncertainty(args: argparse.Namespace) -> dict[str, Any]:
 
 @_command("clock-mass", "optimal clock mass for a length measurement", length=_quantity("length"))
 def _cmd_clock_mass(args: argparse.Namespace) -> dict[str, Any]:
-    rows = [("clock_mass", _LAW.clock_mass(args.length), "g", "closed-form")]
+    rows = [("clock_mass", clock_mass(args.length), "g", "closed-form")]
     return _payload(args, zip(*rows), _sub_planck("length", args.length))
 
 
@@ -273,7 +271,7 @@ def _cmd_fluct(args: argparse.Namespace) -> dict[str, Any]:
     density=_quantity("density"),
 )
 def _cmd_threshold(args: argparse.Namespace) -> dict[str, Any]:
-    max_length = _LAW.max_length_for_density(args.density)
+    max_length = max_length_for_density(args.density)
     return _payload(args, zip(*[("max_length", max_length, "cm", "order-of-magnitude")]), [])
 
 

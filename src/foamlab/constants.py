@@ -13,7 +13,8 @@ configurable on their own, so the defining identities
     t_planck = l_planck / c
     m_planck = sqrt(hbar * c / G)
 
-cannot be broken by configuration.
+cannot be broken by configuration.  A ConstantSet checks them whenever it
+is built, _replace and _make included, so none can break them either.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import ConfigError, DomainError
 
@@ -43,17 +43,6 @@ PLANCK_TIME_RTOL = 1e-12
 PLANCK_MASS_RTOL = 1e-9
 
 _CONFIG_KEYS = ("c", "hbar", "G")
-
-
-class ConstantSet(NamedTuple):
-    """Immutable bundle of base constants and derived Planck units (CGS)."""
-
-    c: float
-    hbar: float
-    G: float
-    l_planck: Length
-    t_planck: TimeInterval
-    m_planck: Mass
 
 
 def require_positive_finite(name: str, value: float) -> None:
@@ -79,24 +68,20 @@ def require_representable(name: str, value: float, l: Length) -> float:
     return value
 
 
-def make_constants(c: float, hbar: float, G: float) -> ConstantSet:
-    """Build a ConstantSet, deriving the Planck units from (c, hbar, G).
+def _planck_units(c: float, hbar: float, G: float) -> tuple[Length, Mass]:
+    """(l_planck, m_planck) derived from positive (c, hbar, G).
 
     Each intermediate (c**3, hbar*G, hbar*c and the quotients under the
     square roots) must be a normal double, else DomainError: a subnormal
     one keeps too few bits, and zero or inf leaves a unit undefined.
     """
-    for name, value in (("c", c), ("hbar", hbar), ("G", G)):
-        require_positive_finite(name, value)
     try:
         cube = c**3
     except OverflowError:
         cube = math.inf
     length2 = _normal("hbar*G", hbar * G) / _normal("c**3", cube)
     mass2 = _normal("hbar*c", hbar * c) / G
-    l_planck = math.sqrt(_normal("hbar*G/c**3", length2))
-    m_planck = math.sqrt(_normal("hbar*c/G", mass2))
-    return ConstantSet(c, hbar, G, l_planck, l_planck / c, m_planck)
+    return math.sqrt(_normal("hbar*G/c**3", length2)), math.sqrt(_normal("hbar*c/G", mass2))
 
 
 def _normal(name: str, value: float) -> float:
@@ -106,53 +91,56 @@ def _normal(name: str, value: float) -> float:
     return value
 
 
+class ConstantSet(checked_record("ConstantSet", "c hbar G l_planck t_planck m_planck")):
+    """Immutable bundle of base constants and derived Planck units (CGS).
+
+    Building one, through _replace or _make too, checks in this order that
+    every field is positive and finite, that the Planck units can be
+    derived from (c, hbar, G), that l_planck and m_planck match their
+    derivation and that t_planck * c matches l_planck.  The first
+    violation raises DomainError, so no ConstantSet is inconsistent.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, c: float, hbar: float, G: float, l_planck: Length, t_planck: TimeInterval,
+        m_planck: Mass,
+    ) -> ConstantSet:
+        self = super().__new__(cls, c, hbar, G, l_planck, t_planck, m_planck)
+        for name, value in zip(self._fields, self):
+            require_positive_finite(name, value)
+        l_derived, m_derived = _planck_units(c, hbar, G)
+        if abs(l_planck - l_derived) > PLANCK_LENGTH_RTOL * l_derived:
+            raise DomainError(
+                f"l_planck = {l_planck!r} does not match sqrt(hbar*G/c^3) = {l_derived!r}"
+            )
+        if abs(m_planck - m_derived) > PLANCK_MASS_RTOL * m_derived:
+            raise DomainError(
+                f"m_planck = {m_planck!r} does not match sqrt(hbar*c/G) = {m_derived!r}"
+            )
+        t_scaled = t_planck * c
+        if abs(t_scaled - l_planck) > PLANCK_TIME_RTOL * l_planck:
+            raise DomainError(f"t_planck * c = {t_scaled!r} does not match l_planck = {l_planck!r}")
+        return self
+
+
+def make_constants(c: float, hbar: float, G: float) -> ConstantSet:
+    """Build a ConstantSet, deriving the Planck units from (c, hbar, G).
+
+    DomainError if an input is not positive and finite or the Planck units
+    cannot be derived from it.
+    """
+    for name, value in (("c", c), ("hbar", hbar), ("G", G)):
+        require_positive_finite(name, value)
+    l_planck, m_planck = _planck_units(c, hbar, G)
+    return ConstantSet(c, hbar, G, l_planck, l_planck / c, m_planck)
+
+
 # CODATA-2018 constants in CGS with derived Planck units, built once.  The
 # set is frozen, so every caller may share it; each `constants` parameter
 # in the toolkit defaults to it.
 DEFAULT_CONSTANTS = make_constants(C_DEFAULT, HBAR_DEFAULT, G_DEFAULT)
-
-
-def validate_constants(constants: ConstantSet) -> list[str]:
-    """Check every ConstantSet invariant; return the violations found.
-
-    Violations are data, not errors: the list is empty iff the set is
-    valid.  Base constants whose Planck units make_constants cannot derive
-    give its DomainError message as the one violation.  The cross-identity
-    t_planck * c = l_planck is only reported when the per-field
-    derivations hold, so a single corrupted field produces a single line
-    naming it rather than a cascade.
-    """
-    violations: list[str] = []
-    for name, value in constants._asdict().items():
-        try:
-            require_positive_finite(name, value)
-        except DomainError as exc:
-            violations.append(str(exc))
-    if violations:
-        return violations
-    try:
-        derived = make_constants(constants.c, constants.hbar, constants.G)
-    except DomainError as exc:
-        return [str(exc)]
-
-    l_derived, m_derived = derived.l_planck, derived.m_planck
-    l_ok = abs(constants.l_planck - l_derived) <= PLANCK_LENGTH_RTOL * l_derived
-    m_ok = abs(constants.m_planck - m_derived) <= PLANCK_MASS_RTOL * m_derived
-    if not l_ok:
-        violations.append(
-            f"l_planck = {constants.l_planck!r} does not match sqrt(hbar*G/c^3) = {l_derived!r}"
-        )
-    if not m_ok:
-        violations.append(
-            f"m_planck = {constants.m_planck!r} does not match sqrt(hbar*c/G) = {m_derived!r}"
-        )
-    if l_ok:
-        t_scaled = constants.t_planck * constants.c
-        if abs(t_scaled - constants.l_planck) > PLANCK_TIME_RTOL * constants.l_planck:
-            violations.append(
-                f"t_planck * c = {t_scaled!r} does not match l_planck = {constants.l_planck!r}"
-            )
-    return violations
 
 
 def load_constants(config_text: str) -> ConstantSet:

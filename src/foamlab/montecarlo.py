@@ -68,7 +68,7 @@ from .constants import (
     require_representable,
 )
 from .errors import DomainError
-from .laws import UncertaintyLaw
+from .laws import time_uncertainty
 from .wigner import TripletCovariance, curvature_uncertainty, second_difference_variance
 
 
@@ -131,7 +131,7 @@ def ngvandam_covariance(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -
 
     constants defaults to DEFAULT_CONSTANTS.
     """
-    sigma = UncertaintyLaw(constants).time_uncertainty(l / constants.c)
+    sigma = time_uncertainty(l / constants.c, constants)
     sigma2 = sigma * sigma
     return TripletCovariance(
         sigma2=sigma2,

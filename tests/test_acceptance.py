@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from foamlab.constants import DEFAULT_CONSTANTS
-from foamlab.laws import UncertaintyLaw
 from foamlab.montecarlo import (
     ADJACENT_CORRELATION,
     OUTER_CORRELATION,
@@ -29,12 +28,7 @@ from foamlab.wigner import (
     riemann_scalar_fluctuation,
     second_difference_variance,
 )
-from foamlab import bounce
-
-
-@pytest.fixture(scope="module")
-def law():
-    return UncertaintyLaw()
+from foamlab import bounce, laws
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +51,7 @@ def _op_runtime(op, *args) -> float:
     return sorted(samples)[len(samples) // 2]
 
 
-def test_c01_clock_mass_1cm(run_cli, law, report_rows):
+def test_c01_clock_mass_1cm(run_cli, report_rows):
     code, out, _ = run_cli(["clock-mass", "--length", "1cm", "--format", "json"])
     assert code == 0
     value = json.loads(out)["rows"][0]["value"]
@@ -65,12 +59,12 @@ def test_c01_clock_mass_1cm(run_cli, law, report_rows):
     row = report_rows["clock-mass-1cm"]
     assert row.status == "reproduced"
     assert "1e6" in row.published_value
-    runtime = _op_runtime(law.clock_mass, 1.0)
+    runtime = _op_runtime(laws.clock_mass, 1.0)
     assert runtime < 1e-3
     print(f"[PASS] c01 clock mass at 1 cm = {value:.6g} g (runtime {runtime * 1e6:.1f} us)")
 
 
-def test_c02_clock_mass_discrepancy(run_cli, law, report_rows):
+def test_c02_clock_mass_discrepancy(run_cli, report_rows):
     code, out, _ = run_cli(["clock-mass", "--length", "2.998e10cm", "--format", "json"])
     assert code == 0
     value = json.loads(out)["rows"][0]["value"]
@@ -78,7 +72,7 @@ def test_c02_clock_mass_discrepancy(run_cli, law, report_rows):
     row = report_rows["clock-mass-1s"]
     assert row.status == "unreproduced"
     assert "1e16" in row.published_value
-    runtime = _op_runtime(law.clock_mass, 2.998e10)
+    runtime = _op_runtime(laws.clock_mass, 2.998e10)
     assert runtime < 1e-3
     print(f"[PASS] c02 clock mass at c*1s = {value:.6g} g, quoted 1e16 g unreproduced")
 
@@ -166,13 +160,13 @@ def test_c07_water_density_claim(run_cli, report_rows):
     print(f"[PASS] c07 delta_rho(1e-5 cm) = {value:.4f} g/cm3, reproduced")
 
 
-def test_c08_threshold_claim(run_cli, law):
+def test_c08_threshold_claim(run_cli):
     code, out, _ = run_cli(["threshold", "--density", "1e-29g/cm3", "--format", "json"])
     assert code == 0
     value = json.loads(out)["rows"][0]["value"]
     assert value == pytest.approx(1.052e4, rel=0.005, abs=0)
     worst = max(
-        abs(law.max_length_for_density(density_fluctuation(l)) / l - 1.0)
+        abs(laws.max_length_for_density(density_fluctuation(l)) / l - 1.0)
         for l in np.logspace(-8, 8, 161)
     )
     assert worst <= 1e-9
@@ -221,9 +215,9 @@ def test_c10_bounce_simulator():
     )
 
 
-def test_c11_scaling_laws(law):
+def test_c11_scaling_laws():
     worst = max(
-        abs(law.length_uncertainty(k**3 * l) / (k * law.length_uncertainty(l)) - 1.0)
+        abs(laws.length_uncertainty(k**3 * l) / (k * laws.length_uncertainty(l)) - 1.0)
         for k in (2.0, 10.0, 100.0)
         for l in (1e-6, 1e-2, 1.0, 1e3)
     )

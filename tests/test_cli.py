@@ -308,6 +308,14 @@ class TestValues:
         assert values["l_planck"] == 1.0
         assert payload["violations"] == []
 
+    def test_config_may_start_with_byte_order_mark(self, run_cli, tmp_path):
+        config = tmp_path / "bom.conf"
+        config.write_text("c = 1\nhbar = 1\nG = 1\n", encoding="utf-8-sig")
+        code, out, err = run_cli(["constants", "--config", str(config), "--format", "json"])
+        assert (code, err) == (0, "")
+        values = {row["name"]: row["value"] for row in json.loads(out)["rows"]}
+        assert values["c"] == values["l_planck"] == 1.0
+
 
 class TestRenderings:
     def test_csv_is_rfc4180_style(self, run_cli):

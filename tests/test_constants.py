@@ -1,9 +1,15 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from foamlab.constants import DEFAULT_CONSTANTS, load_constants, make_constants, validate_constants
+from foamlab.constants import (
+    DEFAULT_CONSTANTS,
+    ConstantSet,
+    _planck_units,
+    load_constants,
+    make_constants,
+)
 from foamlab.errors import ConfigError, DomainError
 
 # CODATA-2018 CGS Planck units, from sqrt(hbar*G/c^3) and friends.
@@ -33,34 +39,35 @@ def test_planck_unit_identities():
     assert cs.l_planck == pytest.approx(math.sqrt(cs.hbar * cs.G / cs.c**3), rel=1e-12, abs=0)
 
 
+# Building a ConstantSet validates it, and _replace and _make build through the constructor.
 def test_validate_accepts_defaults_and_natural_units():
-    assert validate_constants(DEFAULT_CONSTANTS) == []
-    assert validate_constants(make_constants(1.0, 1.0, 1.0)) == []
+    for cs in (DEFAULT_CONSTANTS, make_constants(1.0, 1.0, 1.0)):
+        assert ConstantSet(*cs) == cs
 
 
 def test_validate_flags_doubled_planck_length():
-    broken = DEFAULT_CONSTANTS._replace(l_planck=2 * L_PLANCK)
-    violations = validate_constants(broken)
-    assert len(violations) == 1
-    assert "l_planck" in violations[0]
+    with pytest.raises(DomainError, match="^l_planck"):
+        DEFAULT_CONSTANTS._replace(l_planck=2 * L_PLANCK)
 
 
 def test_validate_flags_nonpositive_fields():
-    broken = DEFAULT_CONSTANTS._replace(G=-1.0)
-    violations = validate_constants(broken)
-    assert any("G" in v for v in violations)
+    with pytest.raises(DomainError, match="^G must be"):
+        DEFAULT_CONSTANTS._replace(G=-1.0)
 
 
 def test_validate_reports_underivable_planck_units():
-    # c**3 overflows at c = 1e200: a violation, not an OverflowError.
-    violations = validate_constants(DEFAULT_CONSTANTS._replace(c=1e200))
-    assert len(violations) == 1
-    assert "c**3" in violations[0]
+    # c**3 overflows at c = 1e200: a DomainError, not an OverflowError.
+    with pytest.raises(DomainError, match=r"^c\*\*3"):
+        DEFAULT_CONSTANTS._replace(c=1e200)
+
+
+def test_validate_flags_broken_time_length_bridge():
+    with pytest.raises(DomainError, match="^t_planck"):
+        DEFAULT_CONSTANTS._replace(t_planck=T_PLANCK * (1.0 + 1e-9))
 
 
 def test_validated_sets_satisfy_time_length_bridge():
     for cs in (DEFAULT_CONSTANTS, make_constants(1.0, 1.0, 1.0), make_constants(3.0, 0.5, 2.0)):
-        assert validate_constants(cs) == []
         assert abs(cs.t_planck * cs.c - cs.l_planck) <= 1e-12 * cs.l_planck
 
 
@@ -122,7 +129,26 @@ def test_serialize_round_trip_is_bit_exact():
 def test_round_trip_property(c, hbar, G):
     again = load_constants(f"# repr text\nc = {c!r}\nhbar = {hbar!r}\nG = {G!r}\n")
     assert (again.c, again.hbar, again.G) == (c, hbar, G)
-    assert validate_constants(make_constants(c, hbar, G)) == []
+
+
+# Log-uniform over every positive double, 5e-324 ... 1.7e308.
+whole_range = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(
+    lambda exponent: max(10.0**exponent, 5e-324)
+)
+
+
+@settings(max_examples=1000)
+@given(c=whole_range, hbar=whole_range, G=whole_range)
+@example(c=5.6e102, hbar=1e200, G=1e100)  # c**3 near the largest double
+@example(c=3e-102, hbar=1e-100, G=1e-150)  # c**3 near the smallest normal double
+@example(c=1.0, hbar=1e-154, G=2.3e-154)  # hbar*G near the smallest normal double
+def test_constructor_accepts_every_derivable_set(c, hbar, G):
+    # Wherever (c, hbar, G) has Planck units, `constants --config` takes it, so the check must too.
+    try:
+        l_planck, m_planck = _planck_units(c, hbar, G)
+    except DomainError:
+        return
+    assert make_constants(c, hbar, G) == (c, hbar, G, l_planck, l_planck / c, m_planck)
 
 
 def test_make_constants_rejects_bad_inputs():

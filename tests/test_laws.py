@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from foamlab.constants import DEFAULT_CONSTANTS, make_constants
 from foamlab.errors import DomainError
-from foamlab.laws import UncertaintyLaw
+from foamlab import laws
 from foamlab.wigner import curvature_uncertainty, density_fluctuation, riemann_scalar_fluctuation
 
 # Direct evaluations with the CODATA Planck units (frozen oracles).
@@ -19,73 +19,66 @@ CLOCK_MASS_LIGHT_SECOND = 5761286646.320204
 MAX_LENGTH_1E29 = 10523.850254061477
 
 
-@pytest.fixture(scope="module")
-def law():
-    return UncertaintyLaw()
-
-
 positive_lengths = st.floats(min_value=1e-30, max_value=1e12, allow_nan=False, allow_infinity=False)
 
 
-def test_length_uncertainty_fixed_point(law):
-    lp = law.constants.l_planck
-    assert law.length_uncertainty(lp) == pytest.approx(lp, rel=1e-12, abs=0)
+def test_length_uncertainty_fixed_point():
+    lp = DEFAULT_CONSTANTS.l_planck
+    assert laws.length_uncertainty(lp) == pytest.approx(lp, rel=1e-12, abs=0)
 
 
-def test_length_uncertainty_frozen_values(law):
-    assert law.length_uncertainty(1.0) == pytest.approx(DELTA_L_1CM, rel=1e-12, abs=0)
-    assert law.length_uncertainty(1e4) == pytest.approx(DELTA_L_1E4CM, rel=1e-12, abs=0)
+def test_length_uncertainty_frozen_values():
+    assert laws.length_uncertainty(1.0) == pytest.approx(DELTA_L_1CM, rel=1e-12, abs=0)
+    assert laws.length_uncertainty(1e4) == pytest.approx(DELTA_L_1E4CM, rel=1e-12, abs=0)
     # cube-root scaling between the two
-    assert law.length_uncertainty(1e4) / law.length_uncertainty(1.0) == pytest.approx(
+    assert laws.length_uncertainty(1e4) / laws.length_uncertainty(1.0) == pytest.approx(
         1e4 ** (1 / 3), rel=1e-12, abs=0
     )
 
 
-def test_time_uncertainty_fixed_point_and_values(law):
-    tp = law.constants.t_planck
-    assert law.time_uncertainty(tp) == pytest.approx(tp, rel=1e-12, abs=0)
-    assert law.time_uncertainty(1.0) == pytest.approx(DELTA_T_1S, rel=1e-12, abs=0)
-    t_1cm = 1.0 / law.constants.c
-    assert law.time_uncertainty(t_1cm) == pytest.approx(
-        law.length_uncertainty(1.0) / law.constants.c, rel=1e-12, abs=0
+def test_time_uncertainty_fixed_point_and_values():
+    tp = DEFAULT_CONSTANTS.t_planck
+    assert laws.time_uncertainty(tp) == pytest.approx(tp, rel=1e-12, abs=0)
+    assert laws.time_uncertainty(1.0) == pytest.approx(DELTA_T_1S, rel=1e-12, abs=0)
+    t_1cm = 1.0 / DEFAULT_CONSTANTS.c
+    assert laws.time_uncertainty(t_1cm) == pytest.approx(
+        laws.length_uncertainty(1.0) / DEFAULT_CONSTANTS.c, rel=1e-12, abs=0
     )
 
 
 @given(l=positive_lengths)
 def test_time_length_bridge_identity(l):
-    law = UncertaintyLaw()
-    c = law.constants.c
-    assert law.time_uncertainty(l / c) * c == pytest.approx(
-        law.length_uncertainty(l), rel=1e-12, abs=0
+    c = DEFAULT_CONSTANTS.c
+    assert laws.time_uncertainty(l / c) * c == pytest.approx(
+        laws.length_uncertainty(l), rel=1e-12, abs=0
     )
 
 
 @given(l=positive_lengths, k=st.sampled_from([2.0, 10.0, 100.0]))
 def test_cube_root_scaling(l, k):
-    law = UncertaintyLaw()
-    assert law.length_uncertainty(k**3 * l) == pytest.approx(
-        k * law.length_uncertainty(l), rel=1e-12, abs=0
+    assert laws.length_uncertainty(k**3 * l) == pytest.approx(
+        k * laws.length_uncertainty(l), rel=1e-12, abs=0
     )
-    assert law.clock_mass(k**3 * l) == pytest.approx(k * law.clock_mass(l), rel=1e-12, abs=0)
+    assert laws.clock_mass(k**3 * l) == pytest.approx(k * laws.clock_mass(l), rel=1e-12, abs=0)
 
 
-def test_clock_mass_values(law):
-    assert law.clock_mass(law.constants.l_planck) == pytest.approx(
-        law.constants.m_planck, rel=1e-12, abs=0
+def test_clock_mass_values():
+    assert laws.clock_mass(DEFAULT_CONSTANTS.l_planck) == pytest.approx(
+        DEFAULT_CONSTANTS.m_planck, rel=1e-12, abs=0
     )
-    assert law.clock_mass(1.0) == pytest.approx(CLOCK_MASS_1CM, rel=1e-12, abs=0)
+    assert laws.clock_mass(1.0) == pytest.approx(CLOCK_MASS_1CM, rel=1e-12, abs=0)
     # published "~1e6 g" figure: same decade
-    assert abs(math.log10(law.clock_mass(1.0) / 1e6)) < 0.5
+    assert abs(math.log10(laws.clock_mass(1.0) / 1e6)) < 0.5
     # light-second input: the law answers ~5.8e9 g, nowhere near the quoted 1e16 g
-    mass = law.clock_mass(2.998e10)
+    mass = laws.clock_mass(2.998e10)
     assert mass == pytest.approx(CLOCK_MASS_LIGHT_SECOND, rel=1e-12, abs=0)
     assert abs(math.log10(mass / 1e16)) > 0.5
 
 
-def test_max_length_for_density_values(law):
-    assert law.max_length_for_density(1e-29) == pytest.approx(MAX_LENGTH_1E29, rel=1e-12, abs=0)
+def test_max_length_for_density_values():
+    assert laws.max_length_for_density(1e-29) == pytest.approx(MAX_LENGTH_1E29, rel=1e-12, abs=0)
     # "order of water density" pairing at l ~ 1e-5 cm
-    assert law.max_length_for_density(11.86) == pytest.approx(1e-5, rel=2e-3, abs=0)
+    assert laws.max_length_for_density(11.86) == pytest.approx(1e-5, rel=2e-3, abs=0)
 
 
 # Log-uniform over every positive double, 5e-324 ... 1.7e308.
@@ -101,10 +94,9 @@ whole_range = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(
 @example(rho=1.7e308)
 def test_max_length_for_density_whole_range(sweep_references, rho):
     # (scale / rho) ** 0.3 went subnormal above rho ~ 1e292 and printed 0.0 at 1.7e308.
-    law = UncertaintyLaw()
     ln_max_length = sweep_references[("threshold", "--density")]["max_length"]
     reference = math.exp(ln_max_length(math.log(rho)))
-    assert abs(law.max_length_for_density(rho) / reference - 1.0) < 1e-12
+    assert abs(laws.max_length_for_density(rho) / reference - 1.0) < 1e-12
 
 
 @given(l=whole_range)
@@ -131,9 +123,8 @@ def test_density_fluctuation_whole_range(sweep_references, l):
 
 @given(l=st.floats(min_value=1e-8, max_value=1e8, allow_nan=False, allow_infinity=False))
 def test_max_length_inverts_density_fluctuation(l):
-    law = UncertaintyLaw()
-    rho = density_fluctuation(l, law.constants)
-    assert law.max_length_for_density(rho) == pytest.approx(l, rel=1e-9, abs=0)
+    rho = density_fluctuation(l)
+    assert laws.max_length_for_density(rho) == pytest.approx(l, rel=1e-9, abs=0)
 
 
 @given(a=positive_lengths, b=positive_lengths)
@@ -141,7 +132,6 @@ def test_max_length_inverts_density_fluctuation(l):
 @example(a=1e-30, b=1e-30 + 16 * math.ulp(1e-30))
 @example(a=1e-30, b=1e-30 + 17 * math.ulp(1e-30))
 def test_monotonicity(a, b):
-    law = UncertaintyLaw()
     lo, hi = sorted((a, b))
     if lo == hi:
         return
@@ -152,19 +142,19 @@ def test_monotonicity(a, b):
         increasing, decreasing = operator.le, operator.ge
     else:
         increasing, decreasing = operator.lt, operator.gt
-    assert increasing(law.length_uncertainty(lo), law.length_uncertainty(hi))
-    assert increasing(law.time_uncertainty(lo), law.time_uncertainty(hi))
-    assert increasing(law.clock_mass(lo), law.clock_mass(hi))
-    assert decreasing(law.max_length_for_density(lo), law.max_length_for_density(hi))
+    assert increasing(laws.length_uncertainty(lo), laws.length_uncertainty(hi))
+    assert increasing(laws.time_uncertainty(lo), laws.time_uncertainty(hi))
+    assert increasing(laws.clock_mass(lo), laws.clock_mass(hi))
+    assert decreasing(laws.max_length_for_density(lo), laws.max_length_for_density(hi))
 
 
 @pytest.mark.parametrize(
     "operation",
     [
-        UncertaintyLaw().length_uncertainty,
-        UncertaintyLaw().time_uncertainty,
-        UncertaintyLaw().clock_mass,
-        UncertaintyLaw().max_length_for_density,
+        laws.length_uncertainty,
+        laws.time_uncertainty,
+        laws.clock_mass,
+        laws.max_length_for_density,
         curvature_uncertainty,
         riemann_scalar_fluctuation,
         density_fluctuation,
@@ -183,24 +173,18 @@ def test_whole_range_answers_a_normal_double_or_refuses(operation, x):
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-def test_domain_errors(law, bad):
+def test_domain_errors(bad):
     with pytest.raises(DomainError):
-        law.length_uncertainty(bad)
+        laws.length_uncertainty(bad)
     with pytest.raises(DomainError):
-        law.time_uncertainty(bad)
+        laws.time_uncertainty(bad)
     with pytest.raises(DomainError):
-        law.clock_mass(bad)
+        laws.clock_mass(bad)
     with pytest.raises(DomainError):
-        law.max_length_for_density(bad)
+        laws.max_length_for_density(bad)
 
 
 def test_law_works_in_natural_units():
-    law = UncertaintyLaw(make_constants(1.0, 1.0, 1.0))
-    assert law.length_uncertainty(8.0) == pytest.approx(2.0, rel=1e-12, abs=0)
-    assert law.clock_mass(27.0) == pytest.approx(3.0, rel=1e-12, abs=0)
-
-
-def test_law_rejects_invalid_constants():
-    broken = DEFAULT_CONSTANTS._replace(m_planck=1.0)
-    with pytest.raises(DomainError, match="m_planck"):
-        UncertaintyLaw(broken)
+    natural = make_constants(1.0, 1.0, 1.0)
+    assert laws.length_uncertainty(8.0, natural) == pytest.approx(2.0, rel=1e-12, abs=0)
+    assert laws.clock_mass(27.0, natural) == pytest.approx(3.0, rel=1e-12, abs=0)

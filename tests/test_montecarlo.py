@@ -10,7 +10,7 @@ import pytest
 
 from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
-from foamlab.laws import UncertaintyLaw
+from foamlab.laws import time_uncertainty
 from foamlab import montecarlo
 from foamlab.montecarlo import (
     ADJACENT_CORRELATION,
@@ -58,7 +58,7 @@ class TestCovarianceConstruction:
     def test_sigma_matches_time_law(self):
         cs = DEFAULT_CONSTANTS
         cov = ngvandam_covariance(1.0, cs)
-        sigma = UncertaintyLaw(cs).time_uncertainty(1.0 / cs.c)
+        sigma = time_uncertainty(1.0 / cs.c, cs)
         assert cov.sigma2 == pytest.approx(sigma**2, rel=1e-12, abs=0)
 
     def test_interval_variance_constraints(self):

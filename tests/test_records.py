@@ -3,9 +3,8 @@
 import pytest
 
 from foamlab.bounce import BounceModel, BounceRecord
-from foamlab.constants import DEFAULT_CONSTANTS, make_constants
+from foamlab.constants import DEFAULT_CONSTANTS, ConstantSet, make_constants
 from foamlab.errors import DomainError
-from foamlab.laws import UncertaintyLaw
 from foamlab.montecarlo import McConfig, McResult
 from foamlab.report import ClaimReport, ClaimRow
 from foamlab.wigner import TripletCovariance
@@ -19,7 +18,6 @@ RECORDS = [
     McConfig(1.0, 10, 0),
     McResult(1.0, 1.0, 0.0, 1.0, 1.0, 1.0),
     ROW,
-    UncertaintyLaw(),
     BounceModel(k=1e-9, l=1.0),
     ClaimReport("0.1.0", 42, 10, 1, DEFAULT_CONSTANTS, (ROW,)),
 ]
@@ -35,17 +33,16 @@ def test_records_are_immutable(record):
 
 def test_records_compare_as_tuples():
     assert TripletCovariance(1.0, 0.0, 0.0, 0.5) == (1.0, 0.0, 0.0, 0.5)
-    assert UncertaintyLaw() == (DEFAULT_CONSTANTS,)
+    assert make_constants(1.0, 1.0, 1.0) == (1.0,) * 6
 
 
-def test_replace_rechecks_uncertainty_law():
-    broken = DEFAULT_CONSTANTS._replace(m_planck=1.0)
-    with pytest.raises(DomainError, match="m_planck"):
-        UncertaintyLaw()._replace(constants=broken)
-    with pytest.raises(DomainError, match="m_planck"):
-        UncertaintyLaw._make([broken])
+def test_replace_rechecks_constant_set():
+    with pytest.raises(DomainError, match="^m_planck"):
+        DEFAULT_CONSTANTS._replace(m_planck=1.0)
+    with pytest.raises(DomainError, match="^m_planck"):
+        ConstantSet._make([*DEFAULT_CONSTANTS[:5], 1.0])
     natural = make_constants(1.0, 1.0, 1.0)
-    assert UncertaintyLaw()._replace(constants=natural) == UncertaintyLaw(natural)
+    assert DEFAULT_CONSTANTS._replace(**natural._asdict()) == natural
 
 
 def test_replace_rechecks_bounce_model():

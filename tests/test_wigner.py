@@ -197,6 +197,12 @@ class TestClosedFormChain:
             with pytest.raises(DomainError):
                 op(bad)
 
+    def test_cannot_be_handed_inconsistent_constants(self):
+        # l_planck = 1 would give delta_c = 0.2499 1/cm at l = 1 cm, not 3.44e-23:
+        # the set refuses to be built, so no law ever sees it.
+        with pytest.raises(DomainError, match="^l_planck"):
+            curvature_uncertainty(1.0, DEFAULT_CONSTANTS._replace(l_planck=1.0))
+
     @pytest.mark.parametrize("l", [5e-324, 1e-300, 1e-200, 1e300, 1.7e308])
     def test_unrepresentable_lengths_are_domain_errors(self, l):
         # Each law leaves the normal doubles, or overflows on the way, at these lengths.
