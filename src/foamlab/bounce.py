@@ -29,6 +29,7 @@ STEP_RTOL relative.  Each round trip is l/c + 2 delta, and the estimate
 takes its second difference from the deltas.  The weak-curvature guard
 |K| (l/2)^2 < 0.01 plus a simulated-window cap keep the mirror away from
 the clock and the map's slope below (l/2) sqrt|K| sinh(1) < 0.12.
+Light travels at the CODATA-2018 c of DEFAULT_CONSTANTS.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from typing import NamedTuple
 
 from .constants import (
     DEFAULT_CONSTANTS,
-    ConstantSet,
     Curvature2,
     Length,
     TimeInterval,
     checked_record,
+    is_number,
     require_positive_finite,
     require_representable,
 )
@@ -57,19 +58,15 @@ STEP_RTOL = 4.0 * sys.float_info.epsilon  # stop once |delta_new - delta| <= thi
 MAX_ROOT_ITERATIONS = 200
 
 
-class BounceModel(checked_record("BounceModel", "k l constants")):
-    """Constant sectional curvature K (1/cm^2) and clock-mirror setup.
-
-    constants defaults to DEFAULT_CONSTANTS.
-    """
+class BounceModel(checked_record("BounceModel", "k l")):
+    """Constant sectional curvature K (1/cm^2) and clock-mirror separation l (cm)."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, k: Curvature2, l: Length, constants: ConstantSet = DEFAULT_CONSTANTS
-    ) -> BounceModel:
+    def __new__(cls, k: Curvature2, l: Length) -> BounceModel:
         require_positive_finite("l", l)
-        if not (isinstance(k, (int, float)) and math.isfinite(k)):
+        # Exact for an int of any size, and false for NaN.
+        if not (is_number(k) and abs(k) <= sys.float_info.max):
             raise DomainError(f"K must be a finite curvature, got {k!r}")
         # Left to right, never (l/2)**2: K = 0 gives 0 and a huge l gives
         # inf, where the power would raise OverflowError above ~1e154 cm.
@@ -78,10 +75,10 @@ class BounceModel(checked_record("BounceModel", "k l constants")):
             raise DomainError(
                 f"|K| (l/2)^2 = {strength:.3e} violates the weak-curvature guard {CURVATURE_GUARD}"
             )
-        return super().__new__(cls, k, l, constants)
+        return super().__new__(cls, k, l)
 
     def omega(self) -> float:
-        return self.constants.c * math.sqrt(abs(self.k))
+        return DEFAULT_CONSTANTS.c * math.sqrt(abs(self.k))
 
 
 class BounceRecord(NamedTuple):
@@ -103,8 +100,7 @@ def simulate_round_trips(model: BounceModel, n_pulses: int) -> BounceRecord:
     """
     if not (isinstance(n_pulses, int) and n_pulses >= 3):
         raise DomainError(f"n_pulses must be an integer >= 3, got {n_pulses!r}")
-    cs = model.constants
-    leg = require_representable("the flat round trip l/c", model.l / cs.c, model.l)
+    leg = require_representable("the flat round trip l/c", model.l / DEFAULT_CONSTANTS.c, model.l)
     # (xi(s) - l/2) / c = scale * wave(half_omega * s)**2, which is 0 for K = 0.
     scale, half_omega, wave = 0.0, 0.0, math.sin
     if model.k != 0:
@@ -117,7 +113,7 @@ def simulate_round_trips(model: BounceModel, n_pulses: int) -> BounceRecord:
             )
         scale, wave = (-leg, math.sin) if model.k > 0 else (leg, math.sinh)
         half_omega = omega / 2.0
-    half_leg = model.l / (2.0 * cs.c)
+    half_leg = model.l / (2.0 * DEFAULT_CONSTANTS.c)
     times: list[float] = []
     epochs: list[float] = []
     deviations: list[float] = []
@@ -147,5 +143,5 @@ def simulate_round_trips(model: BounceModel, n_pulses: int) -> BounceRecord:
             f"the second difference {second_difference!r} s at K = {model.k!r}/cm2, "
             f"l = {model.l!r} cm is not a normal double; the estimate is unresolvable"
         )
-    estimate = curvature_from_second_difference(second_difference, times[1], cs)
+    estimate = curvature_from_second_difference(second_difference, times[1])
     return BounceRecord(tuple(times), tuple(epochs), estimate, tuple(deviations))

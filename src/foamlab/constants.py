@@ -45,9 +45,15 @@ PLANCK_MASS_RTOL = 1e-9
 _CONFIG_KEYS = ("c", "hbar", "G")
 
 
+def is_number(value: object, kinds: type | tuple[type, ...] = (int, float)) -> bool:
+    """isinstance(value, kinds), refusing bool: True is not the number 1 here."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def require_positive_finite(name: str, value: float) -> None:
-    """The toolkit's one input check: value must be a finite int or float above 0."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    """The toolkit's one input check: value must be an int or float in (0, largest double]."""
+    # Exact for an int of any size, and false for NaN.
+    if not (is_number(value) and 0 < value <= sys.float_info.max):
         raise DomainError(f"{name} must be a strictly positive finite number, got {value!r}")
 
 
@@ -138,8 +144,8 @@ def make_constants(c: float, hbar: float, G: float) -> ConstantSet:
 
 
 # CODATA-2018 constants in CGS with derived Planck units, built once.  The
-# set is frozen, so every caller may share it; each `constants` parameter
-# in the toolkit defaults to it.
+# set is frozen and every law in the toolkit computes with it; other sets
+# come only from a `constants --config` file, which the CLI prints.
 DEFAULT_CONSTANTS = make_constants(C_DEFAULT, HBAR_DEFAULT, G_DEFAULT)
 
 

@@ -9,9 +9,9 @@ with the time law as its exact image under t = l/c.  The clock-mass law
 gives the mass an optimal clock must have to reach that accuracy, and
 max_length_for_density inverts the energy-density fluctuation it implies.
 
-Each law is a pure function of its input and a ConstantSet, which
-defaults to the shared CODATA-2018 set DEFAULT_CONSTANTS; a ConstantSet
-checks itself when built, so the laws take any set as given.
+Each law is a pure function of its input in the CODATA-2018 set
+DEFAULT_CONSTANTS, the one set the toolkit computes with.  In other
+units, each law is the one-line formula in its docstring.
 
 The uncertainties are treated as one-sigma values, not hard bounds; that
 reading is what makes the Monte Carlo verification well-posed.  Inputs
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from .constants import (
     DEFAULT_CONSTANTS,
-    ConstantSet,
     Length,
     Mass,
     MassDensity,
@@ -32,36 +31,38 @@ from .constants import (
     require_positive_finite,
 )
 
+# (hbar/c) * l_planck^(-2/3), the scale of the density law in g cm^(-5/3);
+# wigner.density_fluctuation takes it from here.
+DENSITY_SCALE = (
+    (DEFAULT_CONSTANTS.hbar / DEFAULT_CONSTANTS.c) * DEFAULT_CONSTANTS.l_planck ** (-2.0 / 3.0)
+)
 
-def length_uncertainty(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> Length:
+
+def length_uncertainty(l: Length) -> Length:
     """delta_l = l_planck^(2/3) * l^(1/3); fixed point at l = l_planck."""
     require_positive_finite("l", l)
-    return constants.l_planck ** (2.0 / 3.0) * l ** (1.0 / 3.0)
+    return DEFAULT_CONSTANTS.l_planck ** (2.0 / 3.0) * l ** (1.0 / 3.0)
 
 
-def time_uncertainty(t: TimeInterval, constants: ConstantSet = DEFAULT_CONSTANTS) -> TimeInterval:
+def time_uncertainty(t: TimeInterval) -> TimeInterval:
     """delta_t = t_planck^(2/3) * t^(1/3)."""
     require_positive_finite("t", t)
-    return constants.t_planck ** (2.0 / 3.0) * t ** (1.0 / 3.0)
+    return DEFAULT_CONSTANTS.t_planck ** (2.0 / 3.0) * t ** (1.0 / 3.0)
 
 
-def clock_mass(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> Mass:
+def clock_mass(l: Length) -> Mass:
     """Optimal clock mass m = m_planck * (l / l_planck)^(1/3)."""
     require_positive_finite("l", l)
     # Powered apart: the quotient l / l_planck overflows above l ~ 2.9e275 cm.
-    return constants.m_planck * l ** (1.0 / 3.0) * constants.l_planck ** (-1.0 / 3.0)
+    return DEFAULT_CONSTANTS.m_planck * l ** (1.0 / 3.0) * DEFAULT_CONSTANTS.l_planck ** (-1.0 / 3.0)
 
 
-def max_length_for_density(
-    rho_max: MassDensity, constants: ConstantSet = DEFAULT_CONSTANTS
-) -> Length:
+def max_length_for_density(rho_max: MassDensity) -> Length:
     """Largest averaging length whose density fluctuation stays below rho_max.
 
     Solves (hbar/c) * l_planck^(-2/3) * l^(-10/3) = rho_max for l, the
     inverse of wigner.density_fluctuation.
     """
     require_positive_finite("rho_max", rho_max)
-    cs = constants
-    scale = (cs.hbar / cs.c) * cs.l_planck ** (-2.0 / 3.0)
-    # Powered apart, so no subnormal quotient scale / rho_max loses digits near 1e308.
-    return scale**0.3 * rho_max**-0.3
+    # Powered apart, so no subnormal quotient DENSITY_SCALE / rho_max loses digits near 1e308.
+    return DENSITY_SCALE**0.3 * rho_max**-0.3

@@ -14,7 +14,8 @@ Its correlation matrix is strictly positive definite (smallest eigenvalue
 about 0.6836), so it has a Cholesky factor at every l.  The law only
 fixes first and second moments; samples are Gaussian (the maximum-entropy
 choice, and any distribution with these moments gives the same
-second-difference variance).
+second-difference variance).  Like every law in the toolkit, the
+covariance is in the CODATA-2018 set DEFAULT_CONSTANTS.
 
 Numerical note: at laboratory scales the fluctuations sit ~22 orders of
 magnitude below the mean flight time, so mean + delta would round to the
@@ -61,9 +62,9 @@ import numpy as np
 
 from .constants import (
     DEFAULT_CONSTANTS,
-    ConstantSet,
     Curvature,
     Length,
+    is_number,
     require_positive_finite,
     require_representable,
 )
@@ -101,11 +102,11 @@ class McConfig(NamedTuple):
 
     def validate(self) -> None:
         require_positive_finite("l", self.l)
-        if not (isinstance(self.n_samples, int) and self.n_samples >= 1):
+        if not (is_number(self.n_samples, int) and self.n_samples >= 1):
             raise DomainError(f"n_samples must be a positive integer, got {self.n_samples!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (is_number(self.seed, int) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (isinstance(self.n_partitions, int) and self.n_partitions >= 1):
+        if not (is_number(self.n_partitions, int) and self.n_partitions >= 1):
             raise DomainError(f"n_partitions must be a positive integer, got {self.n_partitions!r}")
 
 
@@ -126,12 +127,9 @@ class McResult(NamedTuple):
     sigma2: float
 
 
-def ngvandam_covariance(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> TripletCovariance:
-    """Covariance of (t1, t2, t3) implied by the cube-root law at length l.
-
-    constants defaults to DEFAULT_CONSTANTS.
-    """
-    sigma = time_uncertainty(l / constants.c, constants)
+def ngvandam_covariance(l: Length) -> TripletCovariance:
+    """Covariance of (t1, t2, t3) implied by the cube-root law at length l."""
+    sigma = time_uncertainty(l / DEFAULT_CONSTANTS.c)
     sigma2 = sigma * sigma
     return TripletCovariance(
         sigma2=sigma2,
@@ -141,9 +139,7 @@ def ngvandam_covariance(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -
     )
 
 
-def verify_curvature_uncertainty(
-    config: McConfig, constants: ConstantSet = DEFAULT_CONSTANTS
-) -> McResult:
+def verify_curvature_uncertainty(config: McConfig) -> McResult:
     """Empirically reproduce the closed-form curvature noise at config.l.
 
     Streams the second differences of Gaussian triplets of the cube-root
@@ -151,8 +147,7 @@ def verify_curvature_uncertainty(
     the module docstring describes, and compares the sample variance
     against the closed form.  The empirical delta_C uses the linearized
     estimator sqrt(Var) * c / (11 l^2).  A delta_C that is not a normal
-    double at config.l raises DomainError.  constants defaults to
-    DEFAULT_CONSTANTS.
+    double at config.l raises DomainError.
 
     The blocks compute on min(n_partitions, os.cpu_count(), blocks)
     threads, the calling thread among them.  A Ctrl-C, or else the first
@@ -163,8 +158,8 @@ def verify_curvature_uncertainty(
     if config.n_samples < 2:
         raise DomainError("n_samples must be at least 2 to estimate a variance")
     # Checked first, so the error names l: where delta_C overflows, t = l/c underflows to 0.
-    closed_form_delta_c = curvature_uncertainty(config.l, constants)
-    cov = ngvandam_covariance(config.l, constants)
+    closed_form_delta_c = curvature_uncertainty(config.l)
+    cov = ngvandam_covariance(config.l)
     closed_form_variance = second_difference_variance(cov)  # validates cov
     block = functools.partial(_block_moments, config.seed, _second_difference_scale(cov))
     n = config.n_samples
@@ -208,7 +203,7 @@ def verify_curvature_uncertainty(
     # subnormal (losing digits) below ~1e-154 cm, where delta_C still fits.
     empirical_delta_c = require_representable(
         "empirical delta_C",
-        math.sqrt(empirical_variance) * constants.c / (11.0 * config.l) / config.l,
+        math.sqrt(empirical_variance) * DEFAULT_CONSTANTS.c / (11.0 * config.l) / config.l,
         config.l,
     )
     return McResult(

@@ -80,13 +80,8 @@ class ClaimReport(checked_record("ClaimReport", "version seed samples partitions
         return super().__new__(cls, version, seed, samples, partitions, constants, rows)
 
 
-def build_claim_report(
-    constants: ConstantSet = DEFAULT_CONSTANTS,
-    seed: int = 42,
-    samples: int = 1_000_000,
-    partitions: int = 1,
-) -> ClaimReport:
-    """Recompute every claim row; constants defaults to DEFAULT_CONSTANTS."""
+def build_claim_report(seed: int = 42, samples: int = 1_000_000, partitions: int = 1) -> ClaimReport:
+    """Recompute every claim row in DEFAULT_CONSTANTS, which the report records."""
     # The identity batch below draws from the seed too, so check it first.
     mc_config = McConfig(l=1.0, n_samples=samples, seed=seed, n_partitions=partitions)
     mc_config.validate()
@@ -109,7 +104,7 @@ def build_claim_report(
         )
 
     # Clock masses from the cube-root law.
-    mass_1cm = clock_mass(1.0, constants)
+    mass_1cm = clock_mass(1.0)
     add(
         "clock-mass-1cm",
         "optimal clock mass for measuring a 1 cm length",
@@ -120,7 +115,7 @@ def build_claim_report(
         "same decade: |log10(computed/1e6)| <= 0.5",
         "closed-form",
     )
-    mass_1s = clock_mass(2.998e10, constants)
+    mass_1s = clock_mass(2.998e10)
     add(
         "clock-mass-1s",
         "optimal clock mass for a 1 s interval (l = c * 1 s = 2.998e10 cm); "
@@ -161,7 +156,7 @@ def build_claim_report(
     )
 
     # Monte Carlo reproduction at l = 1 cm.
-    mc = verify_curvature_uncertainty(mc_config, constants)
+    mc = verify_curvature_uncertainty(mc_config)
     variance_ratio = mc.empirical_variance / mc.sigma2
     add(
         "variance-ratio-mc",
@@ -185,7 +180,7 @@ def build_claim_report(
     )
 
     # Correlation-matrix spectrum.
-    cov_1cm = ngvandam_covariance(1.0, constants)
+    cov_1cm = ngvandam_covariance(1.0)
     correlation = TripletCovariance(
         sigma2=1.0,
         cov12=cov_1cm.cov12 / cov_1cm.sigma2,
@@ -218,7 +213,7 @@ def build_claim_report(
     )
 
     # Density-fluctuation claims (order-of-magnitude laws).
-    rho_water = density_fluctuation(1e-5, constants)
+    rho_water = density_fluctuation(1e-5)
     add(
         "water-density",
         "energy-density fluctuation at averaging length l = 1e-5 cm",
@@ -229,7 +224,7 @@ def build_claim_report(
         "within 1.5 decades of 1 g/cm3",
         "order-of-magnitude",
     )
-    threshold = max_length_for_density(1e-29, constants)
+    threshold = max_length_for_density(1e-29)
     add(
         "density-threshold",
         "largest averaging length whose density fluctuation stays below "
@@ -242,7 +237,7 @@ def build_claim_report(
         "order-of-magnitude",
     )
     roundtrip_gap = max(
-        abs(max_length_for_density(density_fluctuation(l, constants), constants) / l - 1.0)
+        abs(max_length_for_density(density_fluctuation(l)) / l - 1.0)
         for l in np.logspace(-8.0, 8.0, 81)
     )
     add(
@@ -257,7 +252,8 @@ def build_claim_report(
         "closed-form",
     )
     two_form_gap = max(
-        _density_two_form_gap(l, constants) for l in np.logspace(-3.0, 3.0, 61)
+        abs(direct - via_scalar) / direct
+        for direct, via_scalar in map(_density_forms, np.logspace(-3.0, 3.0, 61))
     )
     add(
         "density-two-form",
@@ -272,8 +268,8 @@ def build_claim_report(
     )
 
     # Toy bounce simulator checks.
-    flat = bounce.simulate_round_trips(bounce.BounceModel(k=0.0, l=1.0, constants=constants), 6)
-    flat_gap = max(abs(t * constants.c / 1.0 - 1.0) for t in flat.times)
+    flat = bounce.simulate_round_trips(bounce.BounceModel(k=0.0, l=1.0), 6)
+    flat_gap = max(abs(t * DEFAULT_CONSTANTS.c / 1.0 - 1.0) for t in flat.times)
     add(
         "bounce-flat",
         "max relative deviation of flat-space round trips from l/c (K = 0, 6 pulses)",
@@ -286,7 +282,7 @@ def build_claim_report(
     )
     # |K| (l/2)^2 up to 1e-5: the model's own quadratic term nears a 1e-3 residual at 1e-4.
     linearity_residual = _linearity_residual(
-        [k * 4.0 for k in (1e-6, 1.78e-6, 3.16e-6, 5.62e-6, 1e-5)], constants
+        [k * 4.0 for k in (1e-6, 1.78e-6, 3.16e-6, 5.62e-6, 1e-5)]
     )
     add(
         "bounce-linearity",
@@ -299,7 +295,7 @@ def build_claim_report(
         "< 1e-3 relative",
         "toy-simulation",
     )
-    scaling_ratio = _second_difference_doubling_ratio(constants)
+    scaling_ratio = _second_difference_doubling_ratio()
     add(
         "bounce-tau-cubed",
         "second-difference ratio when doubling the separation at fixed K",
@@ -313,7 +309,7 @@ def build_claim_report(
 
     # Power-law scaling identities.
     scaling_gap = max(
-        abs(length_uncertainty(k**3 * l, constants) / (k * length_uncertainty(l, constants)) - 1.0)
+        abs(length_uncertainty(k**3 * l) / (k * length_uncertainty(l)) - 1.0)
         for k in (2.0, 10.0, 100.0)
         for l in (1e-6, 1.0, 1e4)
     )
@@ -328,7 +324,7 @@ def build_claim_report(
         "closed-form",
     )
     curvature_scaling_gap = abs(
-        curvature_uncertainty(8.0, constants) / curvature_uncertainty(1.0, constants) * 32.0 - 1.0
+        curvature_uncertainty(8.0) / curvature_uncertainty(1.0) * 32.0 - 1.0
     )
     add(
         "scaling-curvature-noise",
@@ -341,7 +337,7 @@ def build_claim_report(
         "closed-form",
     )
 
-    return ClaimReport(__version__, seed, samples, partitions, constants, tuple(rows))
+    return ClaimReport(__version__, seed, samples, partitions, DEFAULT_CONSTANTS, tuple(rows))
 
 
 def _max_identity_gap(seed: int) -> float:
@@ -388,27 +384,22 @@ def _eigenvalues(cov: TripletCovariance) -> tuple[float, float, float]:
     return (float(values[2]), float(values[1]), float(values[0]))
 
 
-def _density_two_form_gap(l: float, cs: ConstantSet) -> float:
-    direct, via_scalar = _density_forms(l, cs)
-    return abs(direct - via_scalar) / direct
-
-
-def _linearity_residual(ks: list[float], cs: ConstantSet) -> float:
+def _linearity_residual(ks: list[float]) -> float:
     """Largest relative residual of the l = 1 cm estimates about their fit through the origin."""
     estimates = [
-        bounce.simulate_round_trips(bounce.BounceModel(k, 1.0, cs), 3).estimated_curvature
+        bounce.simulate_round_trips(bounce.BounceModel(k, 1.0), 3).estimated_curvature
         for k in ks
     ]
     slope = sum(c * k for c, k in zip(estimates, ks)) / sum(k * k for k in ks)
     return max(abs(c - slope * k) / abs(slope * k) for c, k in zip(estimates, ks))
 
 
-def _second_difference_doubling_ratio(cs: ConstantSet) -> float:
+def _second_difference_doubling_ratio() -> float:
     k = 4e-6  # |K| (l/2)^2 = 1e-6 at l = 1 cm, 4e-6 at l = 2 cm
 
     def second_difference(l: float) -> float:
         # From the deviations, as the estimate takes it: the absolute times cancel digits.
-        record = bounce.simulate_round_trips(bounce.BounceModel(k=k, l=l, constants=cs), 3)
+        record = bounce.simulate_round_trips(bounce.BounceModel(k=k, l=l), 3)
         d1, d2, d3 = record.deviations
         return 2.0 * ((d1 - d2) - (d2 - d3))
 

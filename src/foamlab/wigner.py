@@ -18,7 +18,8 @@ Planck lengths `foamlab fluct` flags the output as questionable).  From
 delta_C follow the Riemann-scalar and energy-density fluctuations.  The
 scalar and density relations are order-of-magnitude laws: they are
 implemented with coefficient exactly 1 and must be labelled as such in
-user-facing output.
+user-facing output.  Every law here computes in the CODATA-2018 set
+DEFAULT_CONSTANTS; in other units, each is the formula in its docstring.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .constants import (
     DEFAULT_CONSTANTS,
-    ConstantSet,
     Curvature,
     Curvature2,
     Length,
@@ -38,6 +38,7 @@ from .constants import (
     require_representable,
 )
 from .errors import ConsistencyError, DomainError
+from .laws import DENSITY_SCALE
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,9 +90,7 @@ class TripletCovariance(NamedTuple):
             )
 
 
-def curvature_from_second_difference(
-    second_difference: TimeInterval, t2: TimeInterval, constants: ConstantSet = DEFAULT_CONSTANTS
-) -> Curvature:
+def curvature_from_second_difference(second_difference: TimeInterval, t2: TimeInterval) -> Curvature:
     """Average curvature (t1 - 2 t2 + t3) / (11 c t2^2) in 1/cm, Wigner's estimator.
 
     Takes the second difference t1 - 2 t2 + t3 of three successive
@@ -99,11 +98,11 @@ def curvature_from_second_difference(
     may form the second difference from fluctuations without the times
     themselves.  The estimate is linear in the second difference and has
     its sign; affine trends in the flight times cancel in it.  t2 must be
-    strictly positive and finite.  constants defaults to DEFAULT_CONSTANTS.
+    strictly positive and finite.
     """
     require_positive_finite("t2", t2)
     # Dividing by t2 twice: t2**2 underflows to zero below ~1e-162 s.
-    return second_difference / (11.0 * constants.c * t2) / t2
+    return second_difference / (11.0 * DEFAULT_CONSTANTS.c * t2) / t2
 
 
 def second_difference_variance(cov: TripletCovariance) -> float:
@@ -145,43 +144,40 @@ def _variance_routes(sigma2, cov12, cov23, cov13):
     return direct, six_term
 
 
-def curvature_uncertainty(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> Curvature:
+def curvature_uncertainty(l: Length) -> Curvature:
     """Closed-form curvature noise delta_C(l) in 1/cm.
 
     Equals CURVATURE_NOISE_COEFF * (1/l) * (l_planck/l)^(2/3); scales as
-    l^(-5/3).  constants defaults to DEFAULT_CONSTANTS.  A result that is
-    not a normal double raises DomainError.
+    l^(-5/3).  A result that is not a normal double raises DomainError.
     """
     require_positive_finite("l", l)
-    ratio = constants.l_planck / l
+    ratio = DEFAULT_CONSTANTS.l_planck / l
     return _evaluate("delta_C", l, lambda: CURVATURE_NOISE_COEFF * (1.0 / l) * ratio ** (2.0 / 3.0))
 
 
-def riemann_scalar_fluctuation(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> Curvature2:
+def riemann_scalar_fluctuation(l: Length) -> Curvature2:
     """Riemann-scalar fluctuation (1/l^2) * (l_planck/l)^(4/3) in 1/cm^2.
 
-    Order-of-magnitude law, implemented with coefficient exactly 1.
-    constants defaults to DEFAULT_CONSTANTS.  A result that is not a
-    normal double raises DomainError.
+    Order-of-magnitude law, implemented with coefficient exactly 1.  A
+    result that is not a normal double raises DomainError.
     """
     require_positive_finite("l", l)
-    ratio = constants.l_planck / l
+    ratio = DEFAULT_CONSTANTS.l_planck / l
     return _evaluate("delta_R", l, lambda: (1.0 / l**2) * ratio ** (4.0 / 3.0))
 
 
-def density_fluctuation(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -> MassDensity:
+def density_fluctuation(l: Length) -> MassDensity:
     """Energy-density fluctuation (hbar/c) * l_planck^(-2/3) * l^(-10/3) in g/cm^3.
 
     Order-of-magnitude law with coefficient exactly 1.  Also evaluated as
     (c^2/G) times the Riemann-scalar law; the two forms are the same
     identity through l_planck^2 = hbar G / c^3 and must agree to 1e-12
-    relative, else ConsistencyError.  constants defaults to
-    DEFAULT_CONSTANTS.  A result that is not a normal double raises
-    DomainError; delta_R itself need not be one.
+    relative, else ConsistencyError.  A result that is not a normal double
+    raises DomainError; delta_R itself need not be one.
     """
     require_positive_finite("l", l)
     try:
-        direct, via_scalar = _density_forms(l, constants)
+        direct, via_scalar = _density_forms(l)
     except OverflowError:
         raise DomainError(f"delta_rho at l = {l!r} cm overflows a double") from None
     require_representable("delta_rho", direct, l)
@@ -192,7 +188,7 @@ def density_fluctuation(l: Length, constants: ConstantSet = DEFAULT_CONSTANTS) -
     return direct
 
 
-def _density_forms(l: Length, constants: ConstantSet) -> tuple[float, float]:
+def _density_forms(l: Length) -> tuple[float, float]:
     """delta_rho as (hbar/c) l_planck^(-2/3) l^(-10/3), and as (c^2/G) delta_R.
 
     Each product is taken in an order that keeps every intermediate a
@@ -201,10 +197,11 @@ def _density_forms(l: Length, constants: ConstantSet) -> tuple[float, float]:
     and c^2/G applied before the small factors of delta_R (which is
     subnormal from l ~ 1e80 cm, where delta_rho still fits).
     """
-    cs = constants
-    scale = (cs.hbar / cs.c) * cs.l_planck ** (-2.0 / 3.0)
-    direct = scale * l ** (-5.0 / 3.0) * l ** (-5.0 / 3.0)
-    via_scalar = cs.c**2 / cs.G / l / l * (cs.l_planck / l) ** (4.0 / 3.0)
+    direct = DENSITY_SCALE * l ** (-5.0 / 3.0) * l ** (-5.0 / 3.0)
+    via_scalar = (
+        DEFAULT_CONSTANTS.c**2 / DEFAULT_CONSTANTS.G / l / l
+        * (DEFAULT_CONSTANTS.l_planck / l) ** (4.0 / 3.0)
+    )
     return direct, via_scalar
 
 

@@ -177,8 +177,8 @@ def test_c09_density_two_form_identity():
     cs = DEFAULT_CONSTANTS
     worst = 0.0
     for l in np.logspace(-3, 3, 121):
-        direct = density_fluctuation(l, cs)
-        via_scalar = (cs.c**2 / cs.G) * riemann_scalar_fluctuation(l, cs)
+        direct = density_fluctuation(l)
+        via_scalar = (cs.c**2 / cs.G) * riemann_scalar_fluctuation(l)
         worst = max(worst, abs(direct - via_scalar) / direct)
     assert worst <= 1e-12
     print(f"[PASS] c09 two-form gap {worst:.2e} over six decades")
@@ -187,14 +187,14 @@ def test_c09_density_two_form_identity():
 def test_c10_bounce_simulator():
     start = time.perf_counter()
     cs = DEFAULT_CONSTANTS
-    flat = bounce.simulate_round_trips(bounce.BounceModel(k=0.0, l=1.0, constants=cs), 6)
+    flat = bounce.simulate_round_trips(bounce.BounceModel(k=0.0, l=1.0), 6)
     flat_gap = max(abs(t * cs.c - 1.0) for t in flat.times)
     assert flat_gap <= 1e-10
 
     # Linear response: the estimates fitted through the origin over a decade of K.
     grid = [4e-6 * 10 ** (i / 6) for i in range(7)]
     estimates = [
-        bounce.simulate_round_trips(bounce.BounceModel(k=k, l=1.0, constants=cs), 3)
+        bounce.simulate_round_trips(bounce.BounceModel(k=k, l=1.0), 3)
         .estimated_curvature
         for k in grid
     ]
@@ -202,8 +202,8 @@ def test_c10_bounce_simulator():
     residual = max(abs(e - slope * k) / abs(slope * k) for e, k in zip(estimates, grid))
     assert residual < 1e-3
 
-    small = bounce.simulate_round_trips(bounce.BounceModel(k=4e-6, l=1.0, constants=cs), 3)
-    large = bounce.simulate_round_trips(bounce.BounceModel(k=4e-6, l=2.0, constants=cs), 3)
+    small = bounce.simulate_round_trips(bounce.BounceModel(k=4e-6, l=1.0), 3)
+    large = bounce.simulate_round_trips(bounce.BounceModel(k=4e-6, l=2.0), 3)
     second = lambda ts: ts[0] - 2 * ts[1] + ts[2]
     ratio = second(large.times) / second(small.times)
     assert ratio == pytest.approx(8.0, rel=0.01, abs=0)

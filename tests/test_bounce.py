@@ -27,9 +27,14 @@ class TestModel:
             BounceModel(k=1e-300, l=1e300)
 
     def test_rejects_bad_separation(self):
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(DomainError):
+        # 10**400 exceeds every double; True is a bool, not the number 1.  K may be
+        # negative, but the same refusals hold for it.
+        for bad in (0.0, -1.0, float("nan"), 10**400, True):
+            with pytest.raises(DomainError, match="^l must be"):
                 BounceModel(k=0.0, l=bad)
+        for bad in (float("nan"), float("inf"), 10**400, -(10**400), True):
+            with pytest.raises(DomainError, match="^K must be"):
+                BounceModel(k=bad, l=0.1)  # K = 1 would pass the guard here
 
 
 class TestRoundTrips:

@@ -152,7 +152,8 @@ def test_constructor_accepts_every_derivable_set(c, hbar, G):
 
 
 def test_make_constants_rejects_bad_inputs():
-    # c**3 overflows at 1e308, underflows to zero at 1e-120 and is subnormal at 3e-108.
-    for bad in (0.0, -1.0, float("nan"), float("inf"), 1e308, 1e-120, 3e-108):
+    # c**3 overflows at 1e308, underflows to zero at 1e-120 and is subnormal at 3e-108;
+    # 10**400 exceeds every double, and True is a bool, not the number 1.
+    for bad in (0.0, -1.0, float("nan"), float("inf"), 1e308, 1e-120, 3e-108, 10**400, True):
         with pytest.raises(DomainError):
             make_constants(bad, 1.0, 1.0)

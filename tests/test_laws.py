@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from foamlab.constants import DEFAULT_CONSTANTS, make_constants
+from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
 from foamlab import laws
 from foamlab.wigner import curvature_uncertainty, density_fluctuation, riemann_scalar_fluctuation
@@ -172,7 +172,10 @@ def test_whole_range_answers_a_normal_double_or_refuses(operation, x):
     assert sys.float_info.min <= value <= sys.float_info.max
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+# 10**400 exceeds every double; True is a bool, not the number 1.
+@pytest.mark.parametrize(
+    "bad", [0.0, -1.0, float("nan"), float("inf"), pytest.param(10**400, id="10**400"), True]
+)
 def test_domain_errors(bad):
     with pytest.raises(DomainError):
         laws.length_uncertainty(bad)
@@ -184,7 +187,8 @@ def test_domain_errors(bad):
         laws.max_length_for_density(bad)
 
 
-def test_law_works_in_natural_units():
-    natural = make_constants(1.0, 1.0, 1.0)
-    assert laws.length_uncertainty(8.0, natural) == pytest.approx(2.0, rel=1e-12, abs=0)
-    assert laws.clock_mass(27.0, natural) == pytest.approx(3.0, rel=1e-12, abs=0)
+def test_law_works_in_planck_units():
+    # The cube-root shape: 8 Planck lengths carry 2 of uncertainty and need 3 Planck masses.
+    lp, mp = DEFAULT_CONSTANTS.l_planck, DEFAULT_CONSTANTS.m_planck
+    assert laws.length_uncertainty(8.0 * lp) == pytest.approx(2.0 * lp, rel=1e-12, abs=0)
+    assert laws.clock_mass(27.0 * lp) == pytest.approx(3.0 * mp, rel=1e-12, abs=0)

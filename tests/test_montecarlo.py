@@ -57,8 +57,8 @@ class TestCovarianceConstruction:
 
     def test_sigma_matches_time_law(self):
         cs = DEFAULT_CONSTANTS
-        cov = ngvandam_covariance(1.0, cs)
-        sigma = time_uncertainty(1.0 / cs.c, cs)
+        cov = ngvandam_covariance(1.0)
+        sigma = time_uncertainty(1.0 / cs.c)
         assert cov.sigma2 == pytest.approx(sigma**2, rel=1e-12, abs=0)
 
     def test_interval_variance_constraints(self):
@@ -138,8 +138,13 @@ class TestSampling:
         assert len(calls) == 1
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            McConfig(l=-1.0, n_samples=10, seed=0).validate()
+        # 10**400 exceeds every double; True is a bool, not the number 1.
+        for bad in (-1.0, 10**400, True):
+            with pytest.raises(DomainError, match="^l must be"):
+                McConfig(l=bad, n_samples=10, seed=0).validate()
+        for field in ("n_samples", "seed", "n_partitions"):
+            with pytest.raises(DomainError, match=f"^{field} must be"):
+                McConfig(l=1.0, n_samples=10, seed=0)._replace(**{field: True}).validate()
         with pytest.raises(DomainError):
             McConfig(l=1.0, n_samples=0, seed=0).validate()
         with pytest.raises(DomainError):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from foamlab import report as report_module
-from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
 from foamlab.report import (
     _IDENTITY_BATCH_KEY,
@@ -151,7 +150,7 @@ def test_identity_batch_peak_memory_is_bounded():
 def test_linearity_residual_on_the_report_grid(report):
     # The bounce-linearity row's grid: a decade of K at l = 1 cm.
     grid = [k * 4.0 for k in (1e-6, 1.78e-6, 3.16e-6, 5.62e-6, 1e-5)]
-    residual = _linearity_residual(grid, DEFAULT_CONSTANTS)
+    residual = _linearity_residual(grid)
     assert residual == 0.00011624640068791821
     rows = {row.claim_id: row for row in report.rows}
     assert rows["bounce-linearity"].computed_value == residual
