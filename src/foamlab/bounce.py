@@ -24,11 +24,14 @@ not for its absolute flight time, whose leading digits the second
 difference would cancel.  With xi(s) - l/2 written without cancellation
 (-l sin^2(omega s/2) for K > 0, +l sinh^2(omega s/2) for K < 0, 0 for
 K = 0), delta is the fixed point of delta -> (xi(T + l/(2c) + delta) - l/2)/c,
-iterated from the previous pulse's delta until a step moves it by at most
-STEP_RTOL relative.  Each round trip is l/c + 2 delta, and the estimate
-takes its second difference from the deltas.  The weak-curvature guard
-|K| (l/2)^2 < 0.01 plus a simulated-window cap keep the mirror away from
-the clock and the map's slope below (l/2) sqrt|K| sinh(1) < 0.12.
+iterated until a step moves it by at most STEP_RTOL relative.  The three
+pulses the estimate reads start from the previous pulse's delta, each
+later one from the extrapolation 2 delta_{n-1} - delta_{n-2}, which saves
+about one step a pulse.  Each round trip is l/c + 2 delta, and the
+estimate takes its second difference from the deltas.  The weak-curvature
+guard |K| (l/2)^2 < 0.01 plus a simulated-window cap keep the mirror away
+from the clock and the map's slope below (l/2) sqrt|K| sinh(1) < 0.12.
+K = 0 or a tiny |K| meets no window cap, so MAX_PULSES bounds every run.
 Light travels at the CODATA-2018 c of DEFAULT_CONSTANTS.
 """
 
@@ -47,6 +50,7 @@ from .constants import (
     is_number,
     require_positive_finite,
     require_representable,
+    shown,
 )
 from .errors import DomainError
 from .wigner import curvature_from_second_difference
@@ -56,6 +60,9 @@ CURVATURE_GUARD = 0.01          # |K| (l/2)^2 must stay below this
 WINDOW_GUARD = 1.0              # omega * (n_pulses + 1) * (l/c) must stay below this
 STEP_RTOL = 4.0 * sys.float_info.epsilon  # stop once |delta_new - delta| <= this * |delta_new|
 MAX_ROOT_ITERATIONS = 200
+# Rendered as JSON, a pulse takes about 1.3 kB of peak memory and 240 B of
+# output, so a million pulses come to about 1.3 GB and 240 MB.
+MAX_PULSES = 1_000_000
 
 
 class BounceModel(checked_record("BounceModel", "k l")):
@@ -67,7 +74,7 @@ class BounceModel(checked_record("BounceModel", "k l")):
         require_positive_finite("l", l)
         # Exact for an int of any size, and false for NaN.
         if not (is_number(k) and abs(k) <= sys.float_info.max):
-            raise DomainError(f"K must be a finite curvature, got {k!r}")
+            raise DomainError(f"K must be a finite curvature, got {shown(k)}")
         # Left to right, never (l/2)**2: K = 0 gives 0 and a huge l gives
         # inf, where the power would raise OverflowError above ~1e154 cm.
         strength = abs(k) * (l / 2.0) * (l / 2.0)
@@ -98,8 +105,10 @@ def simulate_round_trips(model: BounceModel, n_pulses: int) -> BounceRecord:
     back at T_n = T_{n-1} + l/c + 2 delta_n.  The projected window must stay
     inside the weak-curvature guard so the fixed-point map contracts.
     """
-    if not (isinstance(n_pulses, int) and n_pulses >= 3):
-        raise DomainError(f"n_pulses must be an integer >= 3, got {n_pulses!r}")
+    if not (isinstance(n_pulses, int) and 3 <= n_pulses <= MAX_PULSES):
+        raise DomainError(
+            f"n_pulses must be an integer in [3, {MAX_PULSES}], got {shown(n_pulses)}"
+        )
     leg = require_representable("the flat round trip l/c", model.l / DEFAULT_CONSTANTS.c, model.l)
     # (xi(s) - l/2) / c = scale * wave(half_omega * s)**2, which is 0 for K = 0.
     scale, half_omega, wave = 0.0, 0.0, math.sin
@@ -118,9 +127,11 @@ def simulate_round_trips(model: BounceModel, n_pulses: int) -> BounceRecord:
     epochs: list[float] = []
     deviations: list[float] = []
     epoch = delta = 0.0
-    for _ in range(n_pulses):
+    for pulse in range(n_pulses):
         epochs.append(epoch)
         arrival = epoch + half_leg
+        if pulse > 2:  # extrapolate the last two; the estimator's three start as before
+            delta = 2.0 * delta - deviations[-2]
         for _ in range(MAX_ROOT_ITERATIONS):
             step = scale * wave(half_omega * (arrival + delta)) ** 2
             converged = abs(step - delta) <= STEP_RTOL * abs(step)

@@ -17,6 +17,8 @@ import functools
 import io
 import math
 import sys
+from itertools import compress, islice, repeat
+from operator import contains, not_
 from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
@@ -308,8 +310,11 @@ def _cmd_bounce(args: argparse.Namespace) -> dict[str, Any]:
     model = bounce.BounceModel(k=args.curvature, l=args.separation)
     record = bounce.simulate_round_trips(model, args.pulses)
     # t_i and epoch_i rows alternate, then the estimate closes the table.
-    quantities = [name for i in range(1, args.pulses + 1) for name in (f"t_{i}", f"epoch_{i}")]
-    values = [value for pair in zip(record.times, record.emission_epochs) for value in pair]
+    pulses = range(1, args.pulses + 1)
+    quantities, values = [""] * (2 * args.pulses), [0.0] * (2 * args.pulses)
+    quantities[::2] = [f"t_{i}" for i in pulses]
+    quantities[1::2] = [f"epoch_{i}" for i in pulses]
+    values[::2], values[1::2] = record.times, record.emission_epochs
     columns = [
         quantities + ["estimated_curvature"],
         values + [record.estimated_curvature],
@@ -411,20 +416,53 @@ def _render(payload: dict[str, Any], fmt: str, precision: int) -> str:
 def _cells(values: Sequence[Any], fmt: str, precision: int, rounded: bool) -> list[str]:
     """The cells for fmt of a column of leaf values, its floats rounded to the precision if rounded.
 
-    A rounded float is formatted once: at precision <= 15 a zero or normal
-    float below 1e308 keeps its digits through the rounded double, so
-    f"{v:.{precision}g}" is the table/CSV cell and, but for repr's ".0" and
-    fixed notation below e+16, the JSON text.  Any other value goes through
-    _round_float, which keeps its DomainError.
+    At precision <= 15 a zero or normal float below 1e308 keeps its digits
+    through the rounded double, so f"{v:.{precision}g}" is the table/CSV
+    cell and, but for repr's ".0" and fixed notation below e+16, the JSON
+    text.  So a rounded float column is formatted whole, by one "%.{p}g"
+    call split at its separators, and only the cells that may differ are
+    written again value by value: those without "e-" (zero, fixed notation,
+    e+NN, inf, nan or near the largest double) but for fixed notation with
+    a point, and those with "e-3" (perhaps subnormal), all found at C level.
+    Any other column is written value by value.  A value outside the rule
+    above goes through _round_float, which keeps its DomainError.  A JSON
+    column of strings whose first string repeats encodes each distinct
+    string once, so its equal cells share one object.
     """
-    as_json = fmt == "json"
-    if set(map(type, values)) == {str}:
-        return list(map(json.encoder.encode_basestring, values)) if as_json else list(values)
-    once, spec = rounded and precision <= 15, f".{precision}g"
-    cells = []
-    for value in values:
+    kinds = set(map(type, values))
+    if kinds == {str} and fmt == "json":
+        encode = json.encoder.encode_basestring
+        if values.count(values[0]) > 1:
+            distinct = set(values)
+            encode = dict(zip(distinct, map(encode, distinct))).__getitem__
+        return list(map(encode, values))
+    if kinds == {str}:
+        return list(values)
+    once, as_json, spec = rounded and precision <= 15, fmt == "json", f".{precision}g"
+    if once and kinds == {float}:
+        text = f"%{spec}\0" * len(values) % tuple(values)
+        cells = text.split("\0")
+        cells.pop()  # the empty text after the last separator
+        # Each cell holds "e-" and "e-3" at most once, so counting them in the
+        # text tells each search how many cells to find; it stops at the last.
+        missing, tiny = len(cells) - text.count("e-"), text.count("e-3")
+        if missing + tiny in (0, len(cells)):  # no cell or every cell: nothing to search
+            pending = range(missing + tiny)
+        else:
+            indices = range(len(cells))
+            without = map(not_, map(contains, cells, repeat("e-")))
+            pending = [
+                *islice(compress(indices, without), missing),
+                *islice(compress(indices, map(contains, cells, repeat("e-3"))), tiny),
+            ]
+    else:
+        cells, pending = [""] * len(values), range(len(values))
+    for index in pending:
+        value, cell = values[index], cells[index]
+        if "." in cell and "e" not in cell:  # fixed notation with a point is final
+            continue
         if once and isinstance(value, float) and (_MIN_NORMAL <= abs(value) < 1e308 or not value):
-            cell = format(value, spec)
+            cell = cell or format(value, spec)  # a whole column's text is already this
             if as_json and "e" not in cell and "." not in cell:
                 cell += ".0"
             elif as_json and "e+" in cell and int(cell.split("e+")[1]) < 16:
@@ -435,7 +473,7 @@ def _cells(values: Sequence[Any], fmt: str, precision: int, rounded: bool) -> li
                 cell = _strict_json(value)
             else:
                 cell = format(value, spec) if isinstance(value, float) else str(value)
-        cells.append(cell)
+        cells[index] = cell
     return cells
 
 

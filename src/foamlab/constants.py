@@ -50,11 +50,26 @@ def is_number(value: object, kinds: type | tuple[type, ...] = (int, float)) -> b
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def shown(value: object) -> str:
+    """repr(value), or the sign and digit count of an int too long for repr.
+
+    CPython refuses to write an int of more than sys.get_int_max_str_digits()
+    digits as text, so a message naming one with !r would raise ValueError.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        magnitude = abs(value)
+        digits = int(math.log10(magnitude)) + 1  # may be one off at a power of ten
+        digits += (magnitude >= 10**digits) - (magnitude < 10 ** (digits - 1))
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def require_positive_finite(name: str, value: float) -> None:
     """The toolkit's one input check: value must be an int or float in (0, largest double]."""
     # Exact for an int of any size, and false for NaN.
     if not (is_number(value) and 0 < value <= sys.float_info.max):
-        raise DomainError(f"{name} must be a strictly positive finite number, got {value!r}")
+        raise DomainError(f"{name} must be a strictly positive finite number, got {shown(value)}")
 
 
 def checked_record(typename: str, field_names: str) -> type:

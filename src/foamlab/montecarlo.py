@@ -67,6 +67,7 @@ from .constants import (
     is_number,
     require_positive_finite,
     require_representable,
+    shown,
 )
 from .errors import DomainError
 from .laws import time_uncertainty
@@ -103,11 +104,13 @@ class McConfig(NamedTuple):
     def validate(self) -> None:
         require_positive_finite("l", self.l)
         if not (is_number(self.n_samples, int) and self.n_samples >= 1):
-            raise DomainError(f"n_samples must be a positive integer, got {self.n_samples!r}")
+            raise DomainError(f"n_samples must be a positive integer, got {shown(self.n_samples)}")
         if not (is_number(self.seed, int) and 0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise DomainError(f"seed must be a 64-bit unsigned integer, got {shown(self.seed)}")
         if not (is_number(self.n_partitions, int) and self.n_partitions >= 1):
-            raise DomainError(f"n_partitions must be a positive integer, got {self.n_partitions!r}")
+            raise DomainError(
+                f"n_partitions must be a positive integer, got {shown(self.n_partitions)}"
+            )
 
 
 class McResult(NamedTuple):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import pytest
@@ -8,6 +9,7 @@ from foamlab import bounce
 from foamlab.bounce import BounceModel, simulate_round_trips
 from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
+from foamlab.wigner import curvature_from_second_difference
 
 C = DEFAULT_CONSTANTS.c
 
@@ -35,6 +37,11 @@ class TestModel:
         for bad in (float("nan"), float("inf"), 10**400, -(10**400), True):
             with pytest.raises(DomainError, match="^K must be"):
                 BounceModel(k=bad, l=0.1)  # K = 1 would pass the guard here
+
+    def test_names_an_int_too_long_to_print(self):
+        # CPython refuses to write an int of more than 4,300 digits as text.
+        with pytest.raises(DomainError, match="^K must be .* got an integer of 5001 digits$"):
+            BounceModel(k=10**5000, l=1.0)
 
 
 class TestRoundTrips:
@@ -96,6 +103,18 @@ class TestRoundTrips:
     def test_requires_three_pulses(self):
         with pytest.raises(DomainError):
             simulate_round_trips(BounceModel(k=0.0, l=1.0), 2)
+
+    def test_refuses_more_than_max_pulses_before_allocating(self):
+        # K = 0 meets no window guard, so only the pulse cap stops this run.
+        model = BounceModel(k=0.0, l=1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"^n_pulses must be an integer in \[3, 1000000\]"):
+                simulate_round_trips(model, bounce.MAX_PULSES + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # one list of a million floats would take 8 MB
 
 
 def displacement(model, s):
@@ -178,4 +197,55 @@ class TestRootFinder:
         monkeypatch.setattr(bounce, "MAX_ROOT_ITERATIONS", 1)
         with pytest.raises(DomainError, match="did not converge within 1 iterations"):
             simulate_round_trips(BounceModel(k=4e-6, l=1.0), 3)
+
+
+def cold_start_round_trips(model, n_pulses):
+    """The pulse loop of simulate_round_trips before its warm start: each pulse starts from
+    the last delta.  Returns (times, epochs, deviations, estimate)."""
+    leg = model.l / C
+    scale, half_omega, wave = 0.0, 0.0, math.sin
+    if model.k != 0:
+        scale, wave = (-leg, math.sin) if model.k > 0 else (leg, math.sinh)
+        half_omega = model.omega() / 2.0
+    half_leg = model.l / (2.0 * C)
+    times, epochs, deviations = [], [], []
+    epoch = delta = 0.0
+    for _ in range(n_pulses):
+        epochs.append(epoch)
+        arrival = epoch + half_leg
+        for _ in range(bounce.MAX_ROOT_ITERATIONS):
+            step = scale * wave(half_omega * (arrival + delta)) ** 2
+            converged = abs(step - delta) <= bounce.STEP_RTOL * abs(step)
+            delta = step
+            if converged:
+                break
+        deviations.append(delta)
+        trip = leg + 2.0 * delta
+        times.append(trip)
+        epoch += trip
+    d1, d2, d3 = deviations[:3]
+    estimate = curvature_from_second_difference(2.0 * ((d1 - d2) - (d2 - d3)), times[1])
+    return times, epochs, deviations, estimate
+
+
+class TestWarmStart:
+    """Pulses after the third start from 2 delta_{n-1} - delta_{n-2}, not from delta_{n-1}."""
+
+    @pytest.mark.parametrize(
+        "k, l", [(0.8e-9, 1.0), (1.1e-9, 1.0), (1.25e-9, 1.0), (-1.1e-9, 1.0), (8e-3, 1.0),
+                 (-4e-6, 0.1), (1e-13, 0.1)],
+    )
+    def test_estimator_pulses_are_bit_identical(self, k, l):
+        record = simulate_round_trips(BounceModel(k=k, l=l), 10)
+        _, _, deviations, estimate = cold_start_round_trips(BounceModel(k=k, l=l), 10)
+        assert record.deviations[:3] == tuple(deviations[:3])
+        assert record.estimated_curvature == estimate
+
+    @pytest.mark.parametrize("k", [1.1e-9, -1.1e-9])
+    def test_six_digit_output_is_unchanged_over_long_runs(self, k):
+        record = simulate_round_trips(BounceModel(k=k, l=1.0), 20000)
+        times, epochs, _, _ = cold_start_round_trips(BounceModel(k=k, l=1.0), 20000)
+        assert [f"{value:.6g}" for value in record.times + record.emission_epochs] == [
+            f"{value:.6g}" for value in times + epochs
+        ]
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from foamlab import bounce
-from foamlab.cli import _VALUE_KEYS, _Table, _render, _round_float, build_parser
+from foamlab.cli import _VALUE_KEYS, _Table, _cells, _render, _round_float, build_parser
 from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
 
@@ -95,6 +95,13 @@ class TestExitCodes:
         code, _, err = run_cli(["bounce", "--curvature", "0.05", "--separation", "1cm"])
         assert code == 1
         assert "guard" in err
+
+    def test_pulses_above_the_cap_are_domain_error(self, run_cli):
+        # K = 0 meets no window guard, so only the pulse cap refuses this count.
+        argv = ["bounce", "--curvature", "0", "--separation", "1cm", "--pulses", "1000001"]
+        assert run_cli(argv) == (
+            1, "", "foamlab: error: n_pulses must be an integer in [3, 1000000], got 1000001\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_overflowing_result_is_domain_error(self, run_cli, fmt):
@@ -530,6 +537,15 @@ class TestJsonWriter:
         }
         assert _render(payload, "json", precision) == dumps(expected) + "\n"
 
+    def test_repeated_strings_are_encoded_once(self):
+        texts = ['"', "s", "é ✓ 𝔊", "\x00\x1f", "s"] * 20
+        table = _Table(["unit", "quantity"], [texts, [f"t_{i}" for i in range(len(texts))]])
+        payload = {"command": "x", "rows": table, "warnings": []}
+        rows = [{"unit": text, "quantity": f"t_{i}"} for i, text in enumerate(texts)]
+        assert _render(payload, "json", 6) == dumps({**payload, "rows": rows}) + "\n"
+        cells = _cells(texts, "json", 6, rounded=False)
+        assert all(cell is cells[index % 5] for index, cell in enumerate(cells))
+
     def test_zero_row_table_with_int_and_none_params(self):
         params = {"config": None, "pulses": 3, "length": 1.23456789}
         table = _Table(["quantity", "value"], [[], []])
@@ -573,7 +589,10 @@ cell_floats = (
     | st.floats(-2.3e-308, 2.3e-308)
     | st.floats(1e307, 1.7976931348623157e308)
     | st.floats(-1.7976931348623157e308, -1e307)
-    | st.sampled_from([0.0, -0.0, 5e-324, 1.04e-322, 2.2250738585072014e-308, 1e16, 9.5e307])
+    | st.sampled_from(
+        [0.0, -0.0, 5e-324, 1.04e-322, 2.2250738585072014e-308, 1234567.0, 1e16, 9.5e307,
+         9.99999999e307, 1.7976931348623157e308]
+    )
 )
 
 
@@ -585,7 +604,12 @@ class TestFormatOnce:
         payload = {"command": "x", "rows": _Table(["value"], [values]), "warnings": []}
         return _render(payload, fmt, precision)
 
-    @given(values=st.lists(cell_floats, min_size=1, max_size=8), precision=st.integers(1, 17))
+    # Short and long (over 64 values) columns: each is formatted by one call, then fixed up.
+    @given(
+        values=st.lists(cell_floats, min_size=1, max_size=8)
+        | st.lists(cell_floats, min_size=65, max_size=200),
+        precision=st.integers(1, 17),
+    )
     @example(values=[1.04e-322], precision=2)
     @example(values=[0.0, -0.0], precision=6)
     @example(values=[1234567.0, 1e16], precision=6)
@@ -607,6 +631,20 @@ class TestFormatOnce:
             f"{line}\r\n" for line in ["value", *cells]
         )
         assert self.rendered(values, "table", precision).splitlines()[2:] == cells
+
+    @given(
+        values=st.lists(cell_floats, min_size=65, max_size=200),
+        bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+        where=st.floats(0.0, 1.0),
+        precision=st.integers(1, 17),
+    )
+    def test_non_finite_anywhere_in_a_long_column_is_domain_error(
+        self, values, bad, where, precision
+    ):
+        values.insert(round(where * len(values)), bad)
+        for fmt in ("json", "table", "csv"):
+            with pytest.raises(DomainError, match="not finite"):
+                self.rendered(values, fmt, precision)
 
     @pytest.mark.parametrize(
         "value, precision, json_text, cell",
@@ -680,6 +718,15 @@ class TestLongTable:
         )
         assert (code, err) == (0, "")
         assert out == reference_bounce_render(1e-9, 1.0, 2000, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+    def test_negative_curvature_matches_row_dict_render(self, run_cli, fmt):
+        code, out, err = run_cli(
+            ["bounce", "--curvature", "-1.1e-9", "--separation", "1cm", "--pulses", "2000",
+             "--format", fmt]
+        )
+        assert (code, err) == (0, "")
+        assert out == reference_bounce_render(-1.1e-9, 1.0, 2000, fmt)
 
 
 class TestParserReuse:

@@ -9,6 +9,8 @@ from foamlab.constants import (
     _planck_units,
     load_constants,
     make_constants,
+    require_positive_finite,
+    shown,
 )
 from foamlab.errors import ConfigError, DomainError
 
@@ -157,3 +159,26 @@ def test_make_constants_rejects_bad_inputs():
     for bad in (0.0, -1.0, float("nan"), float("inf"), 1e308, 1e-120, 3e-108, 10**400, True):
         with pytest.raises(DomainError):
             make_constants(bad, 1.0, 1.0)
+
+
+# CPython refuses to write an int of more than 4,300 digits as text, so the
+# message names it by its digit count; the count is exact at powers of ten.
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (10**4300, "an integer of 4301 digits"),
+        (10**4301 - 1, "an integer of 4301 digits"),
+        (-(10**5000), "a negative integer of 5001 digits"),
+        (12, "12"),
+        (1.5, "1.5"),
+    ],
+    ids=["10**4300", "10**4301-1", "-10**5000", "12", "1.5"],
+)
+def test_shown_names_a_long_int_by_its_digit_count(value, text):
+    assert shown(value) == text
+
+
+def test_positive_finite_check_names_an_int_too_long_to_print():
+    with pytest.raises(DomainError, match="^c must be .* got an integer of 5001 digits$"):
+        require_positive_finite("c", 10**5000)
+

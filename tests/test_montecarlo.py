@@ -152,6 +152,14 @@ class TestSampling:
         with pytest.raises(DomainError):
             McConfig(l=1.0, n_samples=10, seed=0, n_partitions=0).validate()
 
+    @pytest.mark.parametrize("field", ["n_samples", "seed", "n_partitions"])
+    def test_config_names_an_int_too_long_to_print(self, field):
+        # CPython refuses to write an int of more than 4,300 digits as text.
+        config = McConfig(l=1.0, n_samples=10, seed=0)._replace(**{field: -(10**5000)})
+        message = f"^{field} must be .* a negative integer of 5001 digits$"
+        with pytest.raises(DomainError, match=message):
+            config.validate()
+
 
 class TestVerification:
     def test_seed42_reproduces_closed_form(self):
