@@ -259,10 +259,15 @@ def _combine(a: Moments, b: Moments) -> Moments:
 
 
 def _second_difference_scale(cov: TripletCovariance) -> float:
-    """|F^T w|, the standard deviation of t1 - 2 t2 + t3, from the Cholesky factor F of cov.
+    """|F^T w|, the standard deviation of t1 - 2 t2 + t3, from the lower Cholesky factor F of cov.
 
-    The cube-root covariance is strictly positive definite, so Cholesky
-    needs no fallback.
+    F is written out in LAPACK's operation order, so it does not depend on the BLAS build.  The
+    cube-root covariance is strictly positive definite, so the factor needs no fallback.
     """
-    factor = np.linalg.cholesky(cov.matrix())
-    return math.hypot(*(factor[0] - 2.0 * factor[1] + factor[2]))
+    s, c12, c23, c13 = cov
+    f11 = math.sqrt(s)
+    f21, f31 = c12 * (1.0 / f11), c13 * (1.0 / f11)
+    f22 = math.sqrt(s - f21 * f21)
+    f32 = (c23 - f31 * f21) * (1.0 / f22)
+    f33 = math.sqrt(s - (f31 * f31 + f32 * f32))
+    return math.hypot(f11 - 2.0 * f21 + f31, f32 - 2.0 * f22, f33)

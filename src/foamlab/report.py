@@ -30,13 +30,11 @@ from . import __version__
 from .constants import DEFAULT_CONSTANTS, ConstantSet, checked_record
 from .errors import DomainError
 from .laws import clock_mass, length_uncertainty, max_length_for_density
-from .montecarlo import McConfig, ngvandam_covariance, verify_curvature_uncertainty
+from .montecarlo import (
+    ADJACENT_CORRELATION, OUTER_CORRELATION, McConfig, verify_curvature_uncertainty,
+)
 from .wigner import (
-    CURVATURE_NOISE_COEFF,
-    TripletCovariance,
-    _density_forms,
-    _variance_routes,
-    curvature_uncertainty,
+    CURVATURE_NOISE_COEFF, _density_forms, _spectrum, _variance_routes, curvature_uncertainty,
     density_fluctuation,
 )
 from . import bounce
@@ -50,7 +48,9 @@ _IDENTITY_BATCH_SIZE = 10_000
 # the whole batch at once) without changing a single value.
 _IDENTITY_SLICE = 1_000
 
-# Expected eigenvalues of the round-trip correlation matrix.
+# Quoted eigenvalues of the round-trip correlation matrix.  They sum to 3.000002, so they are
+# not the spectrum of this trace-3 matrix, which is 1.2690313, 1.0473591 and 0.6836095; the
+# row passes at 85% of its 1e-5 bound.  No figure or bound is changed here.
 _EXPECTED_EIGENVALUES = (1.269025, 1.047359, 0.683618)
 
 
@@ -87,21 +87,10 @@ def build_claim_report(seed: int = 42, samples: int = 1_000_000, partitions: int
     mc_config.validate()
     rows: list[ClaimRow] = []
 
-    def add(
-        claim_id: str,
-        description: str,
-        published_value: str,
-        computed_value: float,
-        unit: str,
-        ok: bool,
-        tolerance: str,
-        basis: str,
-    ) -> None:
+    def add(claim_id, description, published_value, computed_value, unit, ok, tolerance, basis):
         status = "reproduced" if ok else "unreproduced"
-        rows.append(
-            ClaimRow(claim_id, description, published_value, computed_value, unit, status,
-                     tolerance, basis)
-        )
+        rows.append(ClaimRow(claim_id, description, published_value, computed_value, unit, status,
+                             tolerance, basis))
 
     # Clock masses from the cube-root law.
     mass_1cm = clock_mass(1.0)
@@ -128,7 +117,7 @@ def build_claim_report(seed: int = 42, samples: int = 1_000_000, partitions: int
         "closed-form",
     )
 
-    # Closed-form curvature-noise prefactor.
+    # Closed-form curvature-noise prefactor, 0.24988721: the row passes at 61% of its bound.
     add(
         "second-difference-coefficient",
         "prefactor sqrt(15 - 6*2^(2/3) + 3^(2/3))/11 of the curvature noise law",
@@ -179,15 +168,8 @@ def build_claim_report(seed: int = 42, samples: int = 1_000_000, partitions: int
         "monte-carlo",
     )
 
-    # Correlation-matrix spectrum.
-    cov_1cm = ngvandam_covariance(1.0)
-    correlation = TripletCovariance(
-        sigma2=1.0,
-        cov12=cov_1cm.cov12 / cov_1cm.sigma2,
-        cov23=cov_1cm.cov23 / cov_1cm.sigma2,
-        cov13=cov_1cm.cov13 / cov_1cm.sigma2,
-    )
-    spectrum = _eigenvalues(correlation)
+    # Correlation-matrix spectrum, in closed form.
+    spectrum = _spectrum(1.0, ADJACENT_CORRELATION, ADJACENT_CORRELATION, OUTER_CORRELATION)
     eigen_gap = max(abs(a - b) for a, b in zip(spectrum, _EXPECTED_EIGENVALUES))
     add(
         "correlation-eigenvalues",
@@ -376,12 +358,6 @@ def _slice_identity_gap(raw: np.ndarray) -> float:
     )
     gap = abs(direct - six_term) / np.maximum(np.maximum(abs(direct), abs(six_term)), 1.0)
     return float(gap.max())
-
-
-def _eigenvalues(cov: TripletCovariance) -> tuple[float, float, float]:
-    """Eigenvalues of the covariance matrix, descending."""
-    values = np.linalg.eigvalsh(cov.matrix())
-    return (float(values[2]), float(values[1]), float(values[0]))
 
 
 def _linearity_residual(ks: list[float]) -> float:

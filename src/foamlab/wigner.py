@@ -25,7 +25,8 @@ DEFAULT_CONSTANTS; in other units, each is the formula in its docstring.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple
+import sys
+from typing import Callable, NamedTuple
 
 from .constants import (
     DEFAULT_CONSTANTS,
@@ -34,14 +35,13 @@ from .constants import (
     Length,
     MassDensity,
     TimeInterval,
+    is_number,
     require_positive_finite,
     require_representable,
+    shown,
 )
 from .errors import ConsistencyError, DomainError
 from .laws import DENSITY_SCALE
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Ratio Var(t1 - 2 t2 + t3) / sigma^2 implied by the cube-root law applied
 # to overlapping intervals, and the resulting prefactor of delta_C.
@@ -62,7 +62,8 @@ class TripletCovariance(NamedTuple):
     """3x3 covariance of (t1, t2, t3) with equal diagonal entries.
 
     Units are time^2.  cov12/cov23 are the adjacent covariances, cov13
-    the outer one; the matrix view is symmetric by construction.
+    the outer one, so the matrix is [[s, c12, c13], [c12, s, c23],
+    [c13, c23, s]] with s = sigma2.
     """
 
     sigma2: float
@@ -70,24 +71,39 @@ class TripletCovariance(NamedTuple):
     cov23: float
     cov13: float
 
-    def matrix(self) -> np.ndarray:
-        import numpy as np  # here, not at module level: the closed forms run without NumPy
-
-        s, c12, c23, c13 = self
-        return np.array([[s, c12, c13], [c12, s, c23], [c13, c23, s]])
-
     def validate(self) -> None:
-        import numpy as np
-
-        if not all(math.isfinite(entry) for entry in self):
-            raise DomainError(f"covariance entries must be finite, got {tuple(self)!r}")
+        for name, entry in zip(self._fields, self):
+            # Exact for an int of any size, and false for NaN.
+            if not (is_number(entry) and -sys.float_info.max <= entry <= sys.float_info.max):
+                raise DomainError(f"covariance {name} must be a finite number, got {shown(entry)}")
         if self.sigma2 <= 0:
-            raise DomainError(f"sigma2 must be strictly positive, got {self.sigma2!r}")
-        smallest = float(np.linalg.eigvalsh(self.matrix())[0])
+            raise DomainError(f"sigma2 must be strictly positive, got {shown(self.sigma2)}")
+        smallest = _spectrum(*self)[2]
         if smallest < -PSD_RTOL * self.sigma2:
             raise DomainError(
                 f"covariance is not positive semidefinite: smallest eigenvalue {smallest!r}"
             )
+
+
+def _spectrum(sigma2, cov12, cov23, cov13):
+    """Descending eigenvalues of the TripletCovariance with these entries, in closed form.
+
+    sigma2 plus the roots of x^3 - p x - q, p = c12^2 + c23^2 + c13^2 and q = 2 c12 c23 c13, in
+    the trigonometric form (O. K. Smith, CACM 4(4), 1961) on entries scaled by the largest |c|.
+    Its angle is an atan2 of the discriminant p^3 - 27 (q/2)^2, written as a sum of squares, so
+    close roots keep the digits that an arccos would lose.
+    """
+    scale = max(abs(cov12), abs(cov23), abs(cov13))
+    if scale == 0:
+        return sigma2, sigma2, sigma2
+    a, b, c = cov12 / scale, cov23 / scale, cov13 / scale
+    u, v, w = a * a, b * b, c * c
+    p = u + v + w
+    root = math.sqrt((u - v) ** 2 * (p / 2 + 3 * w) + (v - w) ** 2 * (p / 2 + 3 * u)
+                     + (w - u) ** 2 * (p / 2 + 3 * v))
+    angle = math.atan2(root, math.sqrt(27.0) * a * b * c) / 3.0
+    radius = 2.0 * math.sqrt(p / 3.0)
+    return tuple(sigma2 + scale * (radius * math.cos(angle + k * math.pi / 3)) for k in (0, 4, 2))
 
 
 def curvature_from_second_difference(second_difference: TimeInterval, t2: TimeInterval) -> Curvature:
@@ -116,10 +132,12 @@ def second_difference_variance(cov: TripletCovariance) -> float:
 
     The two are an algebraic identity for any joint distribution, so any
     disagreement (beyond 1e-12 relative to the matrix scale) raises
-    ConsistencyError.
+    ConsistencyError.  A variance that is not a finite double raises DomainError.
     """
     cov.validate()
     direct, six_term = _variance_routes(*cov)
+    if not (math.isfinite(direct) and math.isfinite(six_term)):
+        raise DomainError(f"Var(t1 - 2 t2 + t3) is not a finite double: {direct!r}, {six_term!r}")
     # Relative to the matrix scale as well, since the variance itself may
     # legitimately cancel to zero (perfectly correlated triplets).
     if abs(direct - six_term) > _ROUTE_RTOL * max(abs(direct), abs(six_term), cov.sigma2):

@@ -19,10 +19,11 @@ from foamlab.montecarlo import (
     McConfig,
     verify_curvature_uncertainty,
 )
-from foamlab.report import _eigenvalues, build_claim_report
+from foamlab.report import build_claim_report
 from foamlab.wigner import (
     CURVATURE_NOISE_COEFF,
     TripletCovariance,
+    _spectrum,
     curvature_uncertainty,
     density_fluctuation,
     riemann_scalar_fluctuation,
@@ -103,7 +104,8 @@ def test_c04_variance_identity_suite():
         )
         # library route (internally cross-checked) vs matrix quadratic forms
         direct = second_difference_variance(cov)
-        matrix = cov.matrix()
+        s, c12, c23, c13 = cov
+        matrix = np.array([[s, c12, c13], [c12, s, c23], [c13, c23, s]])
         six_term = float(
             3.0 * matrix[0, 0] + 9.0 * matrix[1, 1] + 3.0 * matrix[2, 2]
             - 3.0 * (pair_12 @ matrix @ pair_12)
@@ -136,13 +138,7 @@ def test_c05_monte_carlo_reproduction(run_cli):
 
 
 def test_c06_covariance_psd():
-    correlation = TripletCovariance(
-        sigma2=1.0,
-        cov12=ADJACENT_CORRELATION,
-        cov23=ADJACENT_CORRELATION,
-        cov13=OUTER_CORRELATION,
-    )
-    spectrum = _eigenvalues(correlation)
+    spectrum = _spectrum(1.0, ADJACENT_CORRELATION, ADJACENT_CORRELATION, OUTER_CORRELATION)
     expected = (1.269025, 1.047359, 0.683618)
     for got, want in zip(spectrum, expected):
         assert abs(got - want) <= 1e-5

@@ -894,6 +894,17 @@ def test_each_step_loads_only_the_modules_it_needs():
     assert loaded == {**expected, "montecarlo": [bounce, wigner, "json", "csv"]}
 
 
+def test_covariance_algebra_loads_no_numpy():
+    # validate's spectrum and both variance routes are closed forms.
+    probe = """
+import sys
+from foamlab.wigner import TripletCovariance, second_difference_variance
+second_difference_variance(TripletCovariance(1.0, 0.1, 0.2, 0.3))
+print("numpy" in sys.modules)
+"""
+    assert run_fresh("-c", probe) == "False\n"
+
+
 def test_lazy_names_resolve_after_a_bare_import():
     # dir() lists every public name (PEP 562 __dir__), and the lazy submodules
     # are attributes of the package as when they were imported with it.

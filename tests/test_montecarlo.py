@@ -20,10 +20,10 @@ from foamlab.montecarlo import (
     ngvandam_covariance,
     verify_curvature_uncertainty,
 )
-from foamlab.report import _eigenvalues
 from foamlab.wigner import (
     VARIANCE_RATIO,
     TripletCovariance,
+    _spectrum,
     curvature_uncertainty,
     second_difference_variance,
 )
@@ -86,21 +86,21 @@ class TestCovarianceConstruction:
 class TestEigenvalues:
     def test_correlation_spectrum_matches_closed_form(self):
         expected = closed_form_spectrum()
-        spectrum = _eigenvalues(CORRELATION)
+        spectrum = _spectrum(*CORRELATION)
         for got, want in zip(spectrum, expected):
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_correlation_spectrum_bounds_and_trace(self):
-        spectrum = _eigenvalues(CORRELATION)
+        spectrum = _spectrum(*CORRELATION)
         assert spectrum[0] < 1.27
         assert spectrum[2] > 0.68
         assert sum(spectrum) == pytest.approx(3.0, abs=1e-12)
 
     def test_identity_and_rank_one(self):
         identity = TripletCovariance(sigma2=1.0, cov12=0.0, cov23=0.0, cov13=0.0)
-        assert _eigenvalues(identity) == pytest.approx((1.0, 1.0, 1.0), abs=0)
+        assert _spectrum(*identity) == pytest.approx((1.0, 1.0, 1.0), abs=0)
         ones = TripletCovariance(sigma2=1.0, cov12=1.0, cov23=1.0, cov13=1.0)
-        spectrum = _eigenvalues(ones)
+        spectrum = _spectrum(*ones)
         assert spectrum[0] == pytest.approx(3.0, rel=1e-12, abs=0)
         assert abs(spectrum[1]) < 1e-12 and abs(spectrum[2]) < 1e-12
 
@@ -114,11 +114,12 @@ class TestSampling:
 
     @CUBE_ROOT
     def test_factor_reproduces_covariance(self, cov):
-        # Cholesky alone factors the cube-root matrix here and near both ends
+        # The written-out factor against LAPACK's, here and near both ends
         # (3.71e-199, 1.30e171 cm) of the l at which delta_C is a normal double.
-        matrix = cov.matrix()
-        factor = np.linalg.cholesky(matrix)
-        assert np.max(np.abs(factor @ factor.T - matrix)) <= 1e-12 * np.max(np.abs(matrix))
+        s, c12, c23, c13 = cov
+        factor = np.linalg.cholesky(np.array([[s, c12, c13], [c12, s, c23], [c13, c23, s]]))
+        reference = math.hypot(*(factor[0] - 2.0 * factor[1] + factor[2]))
+        assert abs(_second_difference_scale(cov) - reference) <= math.ulp(reference)
 
     @CUBE_ROOT
     def test_scale_squared_is_second_difference_variance(self, cov):

@@ -8,8 +8,10 @@ from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
 from foamlab.wigner import (
     CURVATURE_NOISE_COEFF,
+    PSD_RTOL,
     VARIANCE_RATIO,
     TripletCovariance,
+    _spectrum,
     curvature_from_second_difference,
     curvature_uncertainty,
     density_fluctuation,
@@ -37,6 +39,11 @@ def random_correlation(rng) -> TripletCovariance:
         cov23=float(corr[1, 2]),
         cov13=float(corr[0, 2]),
     )
+
+
+def matrix(cov: TripletCovariance) -> np.ndarray:
+    s, c12, c23, c13 = cov
+    return np.array([[s, c12, c13], [c12, s, c23], [c13, c23, s]])
 
 
 def estimate(t1, t2, t3):
@@ -112,9 +119,8 @@ class TestSecondDifferenceVariance:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_identity_for_random_psd_matrices(self, seed):
         cov = random_correlation(np.random.default_rng(seed))
-        matrix = cov.matrix()
         weights = np.array([1.0, -2.0, 1.0])
-        oracle = float(weights @ matrix @ weights)
+        oracle = float(weights @ matrix(cov) @ weights)
         assert second_difference_variance(cov) == pytest.approx(oracle, rel=1e-10, abs=1e-13)
 
     def test_rejects_indefinite_matrix(self):
@@ -128,16 +134,53 @@ class TestSecondDifferenceVariance:
                 TripletCovariance(sigma2=0.0, cov12=0.0, cov23=0.0, cov13=0.0)
             )
 
-    def test_matrix_layout(self):
-        matrix = TripletCovariance(sigma2=1.0, cov12=0.1, cov23=0.2, cov13=0.3).matrix()
-        assert matrix.tolist() == [[1.0, 0.1, 0.3], [0.1, 1.0, 0.2], [0.3, 0.2, 1.0]]
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    # 10**400 exceeds every double, 10**5000 is too long for repr, and True is
+    # a bool, not the number 1.
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), 10**400, 10**5000, True],
+        ids=["nan", "inf", "10**400", "10**5000", "True"],
+    )
     def test_rejects_non_finite_entry(self, bad):
-        with pytest.raises(DomainError, match="finite"):
-            second_difference_variance(
-                TripletCovariance(sigma2=1.0, cov12=0.0, cov23=bad, cov13=0.0)
-            )
+        for entries in ((bad, 0.0, 0.0, 0.0), (1.0, 0.0, bad, 0.0)):
+            with pytest.raises(DomainError, match="must be a finite number"):
+                second_difference_variance(TripletCovariance(*entries))
+
+    # Finite PSD entries whose variance leaves the double range: 6 sigma2
+    # overflows, and with every entry 1e308 both routes take inf - inf.
+    @pytest.mark.parametrize(
+        "entries", [(1e308, 0.0, 0.0, 0.0), (1e308, 1e308, 1e308, 1e308)], ids=["inf", "nan"]
+    )
+    def test_rejects_non_finite_variance(self, entries):
+        with pytest.raises(DomainError, match="not a finite double"):
+            second_difference_variance(TripletCovariance(*entries))
+
+
+class TestSpectrum:
+    # Two roots 2**-40 apart, where an arccos of q / (2 r^3) loses half the digits.
+    @pytest.mark.parametrize(
+        "entries", [(1.0, 0.5, 0.5, 0.5 + 2**-40), (1.0, 0.3, -0.3 + 2**-40, -0.3)]
+    )
+    def test_close_roots_keep_their_digits(self, entries):
+        reference = np.linalg.eigvalsh(matrix(entries))[::-1]
+        assert max(abs(got - want) for got, want in zip(_spectrum(*entries), reference)) <= 4e-15
+
+    @given(
+        sigma2=st.floats(min_value=1e-300, max_value=1e300),
+        correlations=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3),
+    )
+    def test_matches_eigvalsh_and_validate_follows_it(self, sigma2, correlations):
+        cov = TripletCovariance(sigma2, *(rho * sigma2 for rho in correlations))
+        reference = np.linalg.eigvalsh(matrix(cov))[::-1]
+        spectrum = _spectrum(*cov)
+        assert max(abs(got - want) for got, want in zip(spectrum, reference)) <= 1e-13 * sigma2
+        # validate takes the smallest eigenvalue from _spectrum; away from its
+        # -PSD_RTOL * sigma2 bound it accepts and rejects as eigvalsh would.
+        margin = reference[2] + PSD_RTOL * sigma2
+        if margin > 1e-13 * sigma2:
+            cov.validate()
+        elif margin < -1e-13 * sigma2:
+            with pytest.raises(DomainError, match="eigenvalue"):
+                cov.validate()
 
 
 class TestClosedFormChain:
