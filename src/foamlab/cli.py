@@ -7,15 +7,15 @@ optional unit suffix glued to the number (`1e-5cm`, `2.5s`,
 `1e-29g/cm3`, and `4e-61/cm2`, which is 4e-6 with the `1/cm2` suffix);
 no locale-dependent parsing.  A negative quantity may follow its option
 after a space as after `=`.  Exit status: 0 on success, 2 on usage
-errors, 1 on domain errors (message on stderr).
+errors, 1 on domain errors and unwritable output (message on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
+import os
 import sys
 from itertools import compress, islice, repeat
 from operator import contains, not_
@@ -166,7 +166,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"foamlab: internal consistency error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(output)
+    try:  # one write, so an error above leaves no partial output
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"foamlab: error: cannot write the output: {exc}", file=sys.stderr)
+        sys.stdout = open(os.devnull, "w")  # else the flush at exit fails again, noisily
+        return 1
     return 0
 
 
@@ -363,10 +369,9 @@ _QUANTITY_SPELLINGS = {name: _quantity_spellings(opts) for name, (_, opts, _) in
 _VALUE_KEYS = ("value", "computed_value")
 _MIN_NORMAL = sys.float_info.min
 
-# The json and csv modules, bound by the first render in their format (see
-# _render): the table format, which most runs use, needs neither.
+# The json module, bound by the first JSON render (see _render): the table
+# format, which most runs use, and CSV do not need it.
 json: Any = None
-csv: Any = None
 
 
 class _Table:
@@ -380,37 +385,26 @@ class _Table:
 def _render(payload: dict[str, Any], fmt: str, precision: int) -> str:
     """Render the payload with row values and float params rounded to the display precision.
 
-    The rows _Table becomes the cells of fmt column by column.  The report's
+    The rows _Table becomes the cells of fmt column by column, and the raw
+    table is released before one join builds the text.  The report's
     constants block keeps full precision.
     """
-    global json, csv
+    global json
     if fmt == "json" and json is None:
         import json
-    elif fmt == "csv" and csv is None:
-        import csv
     table = payload["rows"]
-    columns = [
+    cells = _Table(table.names, [
         _cells(column, fmt, precision, rounded=name in _VALUE_KEYS)
         for name, column in zip(table.names, table.columns)
-    ]
-    rendered = {**payload, "rows": _Table(table.names, columns)}
+    ])
+    rendered = {**payload, "rows": cells}
     if "params" in payload:
         params = payload["params"]
         rendered["params"] = {key: _round_float(value, precision) for key, value in params.items()}
+    del payload, table  # frees the raw columns, whose last reference main passes (3.11+)
     if fmt == "json":
-        items = []
-        for key, value in rendered.items():
-            if key == "rows":
-                text = _json_table(value, "  ")
-            else:  # the stdlib's lines, one level deeper
-                text = _strict_json(value).replace("\n", "\n  ")
-            items.append(f"  {json.encoder.encode_basestring(key)}: {text}")
-        return "{\n" + ",\n".join(items) + "\n}\n"
-    if fmt == "csv":
-        buffer = io.StringIO()  # RFC-4180-style, CRLF endings
-        csv.writer(buffer).writerows([table.names, *zip(*columns)])
-        return buffer.getvalue()
-    return _render_table(rendered, precision)
+        return _json_text(rendered)
+    return _csv_text(cells) if fmt == "csv" else _render_table(rendered, precision)
 
 
 def _cells(values: Sequence[Any], fmt: str, precision: int, rounded: bool) -> list[str]:
@@ -502,21 +496,48 @@ def _strict_json(value: Any) -> str:
         raise DomainError("an output value is not finite; JSON has no encoding for it") from None
 
 
-def _json_table(table: _Table, indent: str) -> str:
-    """The rows of a _Table of JSON texts as json.dumps(indent=2) writes row dicts at indent."""
-    if not table.columns or not table.columns[0]:
-        return "[]"
-    row, count = indent + "  ", len(table.columns[0])
-    keys = [f"{row}  {json.encoder.encode_basestring(name)}: " for name in table.names]
-    width = 2 * len(keys)
-    parts = [""] * (width * count)
-    for field, (key, column) in enumerate(zip(keys, table.columns)):
-        # A row's first key closes the row before it and opens its own.
-        opening = f",\n{key}" if field else f"\n{row}}},\n{row}{{\n{key}"
-        parts[2 * field :: width] = [opening] * count
-        parts[2 * field + 1 :: width] = column
-    parts[0] = f"[\n{row}{{\n{keys[0]}"
-    return "".join(parts) + f"\n{row}}}\n{indent}]"
+def _json_text(payload: dict[str, Any]) -> str:
+    """A payload whose rows are a _Table of JSON texts as json.dumps(indent=2) writes it."""
+    parts, opening = [], "{\n  "
+    for key, value in payload.items():
+        parts.append(f"{opening}{json.encoder.encode_basestring(key)}: ")
+        opening = ",\n  "
+        if key != "rows":  # the stdlib's lines, one level deeper
+            parts.append(_strict_json(value).replace("\n", "\n  "))
+        elif not value.columns or not value.columns[0]:
+            parts.append("[]")
+        else:  # a list of row dicts, written column by column
+            count, start = len(value.columns[0]), len(parts)
+            keys = [f"\n      {json.encoder.encode_basestring(name)}: " for name in value.names]
+            width = 2 * len(keys)
+            parts.extend(repeat("", width * count))  # grown in place: no temporary list
+            for field, (field_key, column) in enumerate(zip(keys, value.columns)):
+                lead = "," if field else "\n    },\n    {"  # a row's first key closes the last row
+                parts[start + 2 * field :: width] = [lead + field_key] * count
+                parts[start + 2 * field + 1 :: width] = column
+            parts[start] = "[\n    {" + keys[0]
+            parts.append("\n    }\n  ]")
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
+def _csv_text(table: _Table) -> str:
+    """The names and rows of a _Table of cells as csv.writer(...).writerows writes them: rows
+    end in CRLF, and a cell holding , " CR or LF, or a row's only cell when empty, is quoted
+    with its quotes doubled.  One search of a column's joined text clears most columns."""
+    width = len(table.columns)
+    parts = ([","] * (2 * width - 1) + ["\r\n"]) * (len(table.columns[0]) + 1 if width else 1)
+    for field, (name, column) in enumerate(zip(table.names, table.columns)):
+        cells = [name, *column]
+        text = "".join(cells)
+        if width == 1 or any(mark in text for mark in ',"\r\n'):
+            cells = [
+                '"' + cell.replace('"', '""') + '"'
+                if width == 1 and not cell or any(mark in cell for mark in ',"\r\n') else cell
+                for cell in cells
+            ]
+        parts[2 * field :: 2 * width] = cells
+    return "".join(parts)
 
 
 def _render_table(payload: dict[str, Any], precision: int) -> str:
@@ -536,4 +557,5 @@ def _render_table(payload: dict[str, Any], precision: int) -> str:
             lines.append("")
         for row in (names, ["-" * width for width in widths], *zip(*columns)):
             lines.append((template % tuple(row)).rstrip())
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the closing newline, in the one join
+    return "\n".join(lines) or "\n"  # an empty payload is one newline

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -229,7 +230,8 @@ def cold_start_round_trips(model, n_pulses):
 
 
 class TestWarmStart:
-    """Pulses after the third start from 2 delta_{n-1} - delta_{n-2}, not from delta_{n-1}."""
+    """The fourth pulse starts from 2 delta_{n-1} - delta_{n-2} and each later one from
+    3 delta_{n-1} - 3 delta_{n-2} + delta_{n-3}, not from delta_{n-1}."""
 
     @pytest.mark.parametrize(
         "k, l", [(0.8e-9, 1.0), (1.1e-9, 1.0), (1.25e-9, 1.0), (-1.1e-9, 1.0), (8e-3, 1.0),
@@ -240,6 +242,19 @@ class TestWarmStart:
         _, _, deviations, estimate = cold_start_round_trips(BounceModel(k=k, l=l), 10)
         assert record.deviations[:3] == tuple(deviations[:3])
         assert record.estimated_curvature == estimate
+
+    def test_quadratic_start_takes_about_two_evaluations_a_pulse(self, monkeypatch):
+        # 3.0 a pulse from the linear start, 3.9 from the previous delta.
+        evaluations = 0
+
+        def sin(x):
+            nonlocal evaluations
+            evaluations += 1
+            return math.sin(x)
+
+        monkeypatch.setattr(bounce, "math", SimpleNamespace(**{**vars(math), "sin": sin}))
+        simulate_round_trips(BounceModel(k=1.1e-9, l=1.0), 20000)
+        assert evaluations <= 2.2 * 20000
 
     @pytest.mark.parametrize("k", [1.1e-9, -1.1e-9])
     def test_six_digit_output_is_unchanged_over_long_runs(self, k):
