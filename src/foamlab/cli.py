@@ -108,7 +108,12 @@ def _command(
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The foamlab parser, built on the first call and reused: a parse leaves no state in it."""
+    """The foamlab parser, built on the first call and reused: a parse leaves no state in it.
+
+    Its `commands` maps each subcommand name to that subcommand's parser,
+    the same object the full parser hands a call to; _parse_args uses it
+    directly for a call that starts with the name.
+    """
     parser = argparse.ArgumentParser(
         prog="foamlab",
         description="cube-root space-time measurement uncertainty toolkit (CGS units)",
@@ -116,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"foamlab {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    parser.commands = commands.choices  # type: ignore[attr-defined]
     for name, (help_text, options, handler) in _COMMANDS.items():
         sub = commands.add_parser(name, help=help_text, **_HELP_LAYOUT)
         sub.add_argument(
@@ -152,10 +158,30 @@ def _join_negative_quantities(argv: Sequence[str]) -> list[str]:
     return joined
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), skipping the top-level pass where it changes nothing.
+
+    When argv[0] names a subcommand, the top-level pass hands argv[1:]
+    unchanged to that subcommand's parser, so that parser alone gives the
+    same namespace, help and errors, unless it leaves arguments over.  Such
+    an argv, and any other, goes through the full parser.  Of its own, the
+    top-level pass rejects only a token whose text before "=" is a prefix
+    of both --help and --version: "--", and in some Python versions "-".
+    So an argv holding "-=" goes the full way too.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None and "-=" not in " ".join(argv):
+        args, left = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not left:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_join_negative_quantities(argv))
+        args = _parse_args(_join_negative_quantities(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
@@ -167,6 +193,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"foamlab: internal consistency error: {exc}", file=sys.stderr)
         return 1
     try:  # one write, so an error above leaves no partial output
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError("standard output is closed")
         sys.stdout.write(output)
         sys.stdout.flush()
     except OSError as exc:

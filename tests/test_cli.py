@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import gc
 import io
@@ -9,13 +11,17 @@ import sys
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
+from typing import Callable
 
 import jsonschema
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from foamlab import bounce
-from foamlab.cli import _VALUE_KEYS, _Table, _cells, _render, _round_float, build_parser
+from foamlab.cli import (
+    _COMMANDS, _VALUE_KEYS, _Table, _cells, _join_negative_quantities, _parse_args, _render,
+    _round_float, build_parser,
+)
 from foamlab.constants import DEFAULT_CONSTANTS
 from foamlab.errors import DomainError
 
@@ -766,17 +772,137 @@ class TestLongTable:
         assert peak < 4.5 * len(out)
 
 
+def parse_outcome(parse: Callable[[list[str]], argparse.Namespace], argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr, vars of the namespace or None) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    code, parsed = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+def full_parse(argv: list[str]) -> argparse.Namespace:
+    """The reference: the whole foamlab parser's parse, which _parse_args must match."""
+    return build_parser().parse_args(_join_negative_quantities(argv))
+
+
+def dispatch_parse(argv: list[str]) -> argparse.Namespace:
+    return _parse_args(_join_negative_quantities(argv))
+
+
+# Tokens for argv: command names, a prefix of one and an unknown name; options
+# whole, abbreviated and with `=`; top-level options and the `--` separator;
+# negative quantities; good and bad values; and a stray word.  "--=x" and "-=x"
+# could abbreviate --help or --version, so the top-level pass may reject them.
+DISPATCH_HEADS = [*_COMMANDS, "thresh", "frobnicate", "-h", "--help", "--version", "--", "--=x"]
+DISPATCH_TOKENS = [
+    *_COMMANDS, "thresh", "frobnicate",
+    "--length", "--len", "--time", "--density", "--dens", "--curvature", "--curv",
+    "--separation", "--pulses", "--samples", "--seed", "--partitions", "--config", "--c",
+    "--format", "--form", "--precision", "--p", "--format=csv", "--form=json", "--length=1cm",
+    "--density=-1", "--precision=3", "--ver", "--he", "--=x", "-=x",
+    "-h", "--help", "--version", "--",
+    "-4e-6", "-1cm", "-4", "1cm", "1e-29g/cm3", "4e-61/cm2", "1e-20", "2", "0", "abc", "json",
+    "extra",
+]
+
+
+class TestDispatch:
+    """A call's parse through _parse_args against the full parser: same bytes, same namespace."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        argv=st.one_of(
+            st.just([]),
+            st.builds(
+                lambda head, tail: [head, *tail],
+                st.sampled_from(DISPATCH_HEADS), st.lists(st.sampled_from(DISPATCH_TOKENS), max_size=6),
+            ),
+        )
+    )
+    @example(argv=["uncertainty", "--=x"])
+    @example(argv=["uncertainty", "--length", "1cm", "-=x"])
+    @example(argv=["constants", "--config", "--=x"])
+    @example(argv=["bounce", "--curvature", "-4e-6", "--separation", "1cm"])
+    def test_matches_the_full_parser(self, argv):
+        assert parse_outcome(dispatch_parse, argv) == parse_outcome(full_parse, argv)
+
+    @pytest.mark.parametrize(
+        "argv, code, usage, message",
+        [
+            (["threshold", "--density", "1e-20", "extra"], 2, "foamlab [-h] [--version]",
+             "foamlab: error: unrecognized arguments: extra"),
+            (["thresh", "--density", "1e-20"], 2, "foamlab [-h] [--version]",
+             "foamlab: error: argument command: invalid choice: 'thresh'"),
+            (["uncertainty"], 2, "foamlab uncertainty [-h]",
+             "foamlab uncertainty: error: one of the arguments --length --time is required"),
+            (["uncertainty", "--length", "1cm", "--version"], 2, "foamlab [-h] [--version]",
+             "foamlab: error: unrecognized arguments: --version"),
+            (["threshold", "-h"], 0, "foamlab threshold [-h]", None),
+        ],
+        ids=["leftover", "prefix", "neither-option", "version-after-command", "help"],
+    )
+    def test_pinned_messages(self, argv, code, usage, message):
+        outcome = parse_outcome(dispatch_parse, argv)
+        assert outcome == parse_outcome(full_parse, argv)
+        # An error goes to stderr after the usage of the parser that rejected
+        # the call; help goes to stdout.
+        exit_code, out, err, _ = outcome
+        shown, other = (err, out) if message else (out, err)
+        assert (exit_code, other) == (code, "")
+        assert shown.startswith(f"usage: {usage}")
+        assert message is None or message in shown
+
+
 class TestParserReuse:
+    # A good call, an unknown option, a leftover argument, a prefix of a
+    # command, --version, and a subcommand's --help.
+    CALLS = [
+        ["clock-mass", "--length", "1cm"], ["uncertainty", "--bogus"],
+        ["threshold", "--density", "1e-20", "extra"], ["thresh", "--density", "1e-20"],
+        ["--version"], ["threshold", "-h"],
+    ]
+
     def test_calls_in_one_process_match_a_fresh_parser(self, run_cli):
-        calls = [["uncertainty", "--bogus"], ["--version"], ["clock-mass", "--length", "1cm"]]
         assert build_parser() is build_parser()
-        reused = [run_cli(argv) for argv in calls]
+        reused = [run_cli(argv) for argv in self.CALLS]
         fresh = []
-        for argv in calls:
+        for argv in self.CALLS:
             build_parser.cache_clear()
             fresh.append(run_cli(argv))
-        assert [code for code, _, _ in reused] == [2, 0, 0]
+        assert [code for code, _, _ in reused] == [0, 2, 2, 2, 0, 0]
         assert reused == fresh
+
+    def test_dispatch_uses_the_cached_subcommand_parsers(self, run_cli, monkeypatch):
+        parser = build_parser()
+        calls, built = [], []
+        parse_known_args, init = argparse.ArgumentParser.parse_known_args, argparse.ArgumentParser.__init__
+
+        def spy(self, args=None, namespace=None):
+            calls.append((self, list(args)))
+            return parse_known_args(self, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__",
+            lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs),
+        )
+        fluct, bounce_parser = parser.commands["fluct"], parser.commands["bounce"]
+        # The full parser hands a call to these very objects...
+        parser.parse_args(["fluct", "--length", "1cm"])
+        assert calls == [(parser, ["fluct", "--length", "1cm"]), (fluct, ["--length", "1cm"])]
+        # ...which the dispatch calls directly, building no parser of its own.
+        calls.clear()
+        assert run_cli(["fluct", "--length", "1cm"])[0] == 0
+        assert run_cli(["bounce", "--curvature", "-4e-6", "--separation", "1cm"])[0] == 0
+        assert calls == [
+            (fluct, ["--length", "1cm"]),
+            (bounce_parser, ["--curvature=-4e-6", "--separation", "1cm"]),
+        ]
+        assert build_parser() is parser and built == []
 
 
 class TestDeterminism:
@@ -870,6 +996,25 @@ def test_write_failure_is_one_error_line(argv):
     assert proc.returncode == 1
     assert proc.stderr.startswith("foamlab: error: cannot write the output: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes file descriptor 1 in the child")
+@pytest.mark.parametrize(
+    "argv",
+    [["uncertainty", "--length", "1cm"], ["threshold", "--density", "1e-29g/cm3", "--format", "json"]],
+    ids=["table", "json"],
+)
+def test_closed_stdout_is_one_error_line(argv):
+    # With file descriptor 1 closed, Python starts with sys.stdout set to None.
+    proc = subprocess.run(
+        [sys.executable, "-m", "foamlab", *argv], stderr=subprocess.PIPE, text=True,
+        cwd=REPO_ROOT, env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("foamlab: error: cannot write the output: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 NUMPY_FREE_COMMANDS = ["uncertainty", "clock-mass", "fluct", "threshold", "constants", "bounce"]
